@@ -8,8 +8,8 @@ kernel of each experiment.
 
 Every run also appends one JSON line of per-test wall-clock timings to
 ``benchmarks/results/timings.jsonl`` (timestamp, provenance — git
-commit, python/numpy versions, engine dtype / path-finder / tuning
-policy — and seconds per test, plus any
+commit, python/numpy versions, the VE path-finder default — and
+seconds per test, plus any
 plan/compile/execute/sink stage breakdowns recorded via the
 ``record_stage_timings`` fixture), so the performance trajectory of a
 run is machine-readable.  The file is gitignored — CI uploads it as an
@@ -28,6 +28,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+
+from repro.bbn.paths import DEFAULT_PATH_FINDER
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 TIMINGS_PATH = RESULTS_DIR / "timings.jsonl"
@@ -119,24 +121,6 @@ def pytest_runtest_call(item):
     _run_timings[item.nodeid] = round(time.perf_counter() - start, 6)
 
 
-def _engine_provenance():
-    """The engine-policy knobs in effect for this run: parameter-plane
-    dtype, VE path-finder default, and whether a tuning profile was
-    active — so timing lines from differently-configured runs are
-    distinguishable."""
-    try:
-        from repro.bbn.paths import DEFAULT_PATH_FINDER
-        from repro.engine.dtypes import parameter_dtype
-        from repro.tuning.profile import active_profile
-    except ImportError:
-        return {}
-    return {
-        "dtype": str(parameter_dtype()),
-        "path_finder": DEFAULT_PATH_FINDER,
-        "tuned": active_profile() is not None,
-    }
-
-
 def pytest_sessionfinish(session, exitstatus):
     if not _run_timings:
         return
@@ -147,7 +131,7 @@ def pytest_sessionfinish(session, exitstatus):
         "commit": _git_commit(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        **_engine_provenance(),
+        "path_finder": DEFAULT_PATH_FINDER,
         "timings_s": dict(sorted(_run_timings.items())),
     }
     if _run_stage_timings:

@@ -6,8 +6,8 @@ simulation, the batched sweep engine, compiled BBN inference, the
 batched growth-model likelihood grids, the compiled whole-case engine,
 the streaming executor at million-scenario scale, the cost of the
 disabled telemetry instrumentation, the below-the-call-boundary
-optimisations — contraction-path search, fused case kernels and the
-measured autotuner — the sharded multi-process coordinator with
+optimisations — contraction-path search and fused case kernels — the
+sharded multi-process coordinator with
 crash-safe resume, and the tiled result store with content-addressed
 delta-sweeps) so performance regressions are visible.
 """
@@ -20,6 +20,7 @@ import pathlib
 import resource
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -58,7 +59,6 @@ from repro.engine import (
     run_sweep_streaming,
 )
 from repro.experiment import run_panel
-from repro.tuning import autotune, set_active_profile
 from repro.update import DemandEvidence, survival_update
 
 
@@ -539,7 +539,7 @@ def _best_of(repeats, fn):
     return best
 
 
-def test_perf_path_search_fused_case_and_autotune(benchmark):
+def test_perf_path_search_and_fused_case(benchmark):
     """P11: the below-the-call-boundary optimisations hold their floors.
 
     (a) Path-searched elimination orders must beat explicit min-degree
@@ -547,9 +547,8 @@ def test_perf_path_search_fused_case_and_autotune(benchmark):
     mixed-cardinality random networks, timed through 512-scenario
     ``query_batch`` calls (and agree to 1e-12).  (b) Fused level-batched
     case evaluation must beat the per-node dispatch loop by >=1.3x on a
-    wide synthetic case at 500 scenarios (and stay bit-identical).
-    (c) An autotuned profile must never make P5/P9-shaped sweeps slower
-    than the fixed defaults (25% noise margin).
+    wide synthetic case at 500 scenarios (and stay bit-identical); a
+    zero fusion element cap forces the per-node loop.
     """
     # --- (a) contraction-path search vs min-degree, batched VE.
     networks = []
@@ -593,82 +592,24 @@ def test_perf_path_search_fused_case_and_autotune(benchmark):
 
     # --- (b) fused level-batched case evaluation vs per-node dispatch.
     compiled_case = CompiledCase(_wide_synthetic_case())
-    fused = compiled_case.evaluate_sweep(n_scenarios=500, fused=True)
-    loop = compiled_case.evaluate_sweep(n_scenarios=500, fused=False)
+    fused = compiled_case.evaluate_sweep(n_scenarios=500)
+    with mock.patch("repro.arguments.compiled._FUSE_ELEMENT_CAP", 0):
+        loop = compiled_case.evaluate_sweep(n_scenarios=500)
+        loop_elapsed = _best_of(5, lambda: compiled_case.evaluate_sweep(
+            n_scenarios=500,
+        ))
     for identifier in fused:
         assert np.array_equal(fused[identifier], loop[identifier]), (
             identifier
         )
     fused_elapsed = _best_of(5, lambda: compiled_case.evaluate_sweep(
-        n_scenarios=500, fused=True,
-    ))
-    loop_elapsed = _best_of(5, lambda: compiled_case.evaluate_sweep(
-        n_scenarios=500, fused=False,
+        n_scenarios=500,
     ))
     fused_speedup = loop_elapsed / fused_elapsed
     assert fused_speedup >= 1.3, (
         f"fused case evaluation only {fused_speedup:.2f}x over per-node "
         f"({fused_elapsed * 1e3:.2f}ms vs {loop_elapsed * 1e3:.2f}ms)"
     )
-
-    # --- (c) autotuned profiles never lose to the fixed defaults.
-    case_file = str(
-        pathlib.Path(__file__).resolve().parents[1]
-        / "examples" / "case_confidence.yaml"
-    )
-    shaped_sweeps = {
-        "P5": SweepSpec(
-            pipeline="survival_update",
-            base={"mode": 0.003, "bound": 1e-2, "points_per_decade": 40},
-            grid={
-                "sigma": [round(0.6 + 0.15 * i, 2) for i in range(10)],
-                "demands": [
-                    int(round(10 ** (0.04 * i))) for i in range(100)
-                ],
-            },
-        ),
-        "P9": SweepSpec(
-            pipeline="case_confidence",
-            base={"case_file": case_file},
-            grid={
-                "A1.p_true": [round(0.5 + 0.005 * i, 3) for i in range(100)],
-                "S1.dependence": [round(0.005 * i, 3) for i in range(200)],
-            },
-        ),
-    }
-    previous_profile = set_active_profile(None)
-    try:
-        for shape, sweep in shaped_sweeps.items():
-            profile = autotune(
-                sweep,
-                backends=("vectorized", "serial"),
-                chunk_sizes=(512, 4096),
-                repeats=2,
-                max_scenarios=2048,
-            )
-            entry = profile.entry(sweep.pipeline)
-            default_point = next(
-                point for point in entry.grid if point["default"]
-            )
-            assert entry.rows_per_s >= default_point["rows_per_s"], shape
-
-            # Best-of-5 each way and a 25% margin: the P5-shaped sweep
-            # completes in ~25ms, so tighter bounds sit inside timer
-            # noise on a loaded runner (a genuinely wrong tuning choice
-            # — e.g. a serial winner — costs several-fold, not 25%).
-            set_active_profile(None)
-            default_elapsed = _best_of(
-                5, lambda: run_sweep_streaming(sweep)
-            )
-            set_active_profile(profile)
-            tuned_elapsed = _best_of(5, lambda: run_sweep_streaming(sweep))
-            set_active_profile(None)
-            assert tuned_elapsed <= default_elapsed * 1.25, (
-                f"{shape}-shaped sweep slower tuned: {tuned_elapsed:.3f}s "
-                f"vs default {default_elapsed:.3f}s"
-            )
-    finally:
-        set_active_profile(previous_profile)
 
     # Timing rounds: the headline tentpole — path-searched batched VE
     # across the whole network batch.

@@ -27,9 +27,9 @@ Run with::
 The CLI equivalent::
 
     PYTHONPATH=src python -m repro.cli sweep \
-        --spec examples/sweep_spec.yaml --stream --store family_store
+        --spec examples/sweep_spec.yaml --store family_store
     PYTHONPATH=src python -m repro.cli sweep \
-        --spec examples/sweep_spec.yaml --stream --store family_store \
+        --spec examples/sweep_spec.yaml --store family_store \
         --delta
     PYTHONPATH=src python -m repro.cli store stats family_store
     PYTHONPATH=src python -m repro.cli store query family_store \

@@ -22,11 +22,11 @@ Run with::
 The CLI equivalent::
 
     PYTHONPATH=src python -m repro.cli sweep \
-        --spec examples/sweep_spec.yaml --stream --out rows.jsonl \
+        --spec examples/sweep_spec.yaml --out rows.jsonl \
         --shards 4
     # ... killed?  Pick up where it stopped:
     PYTHONPATH=src python -m repro.cli sweep \
-        --spec examples/sweep_spec.yaml --stream --out rows.jsonl \
+        --spec examples/sweep_spec.yaml --out rows.jsonl \
         --shards 4 --resume
 """
 

@@ -20,7 +20,7 @@ Run with::
 The CLI equivalent::
 
     PYTHONPATH=src python -m repro.cli sweep \
-        --spec examples/sweep_spec.yaml --stream --out rows.jsonl \
+        --spec examples/sweep_spec.yaml --out rows.jsonl \
         --progress --cache results_cache.jsonl
     PYTHONPATH=src python -m repro.cli cache stats --path results_cache.jsonl
 """

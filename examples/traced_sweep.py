@@ -20,7 +20,7 @@ ways:
 
 The equivalent CLI one-liner::
 
-    repro-case sweep --spec examples/sweep_spec.yaml --stream \
+    repro-case sweep --spec examples/sweep_spec.yaml \
         --out rows.jsonl --trace sweep.trace.json --metrics
 
 Run with::

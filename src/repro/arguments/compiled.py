@@ -141,9 +141,7 @@ class CompiledCase:
         self._slots = slots
         self._assumption_addresses = case.assumption_addresses()
         self._fused_groups = _plan_fused_groups(records)
-        self._plane_cache: Dict[
-            Tuple[int, str], Dict[str, np.ndarray]
-        ] = {}
+        self._plane_cache: Dict[int, Dict[str, np.ndarray]] = {}
         self._plane_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -173,7 +171,6 @@ class CompiledCase:
         self,
         columns: Optional[Mapping[str, np.ndarray]] = None,
         n_scenarios: Optional[int] = None,
-        fused: bool = True,
     ) -> Dict[str, np.ndarray]:
         """Node id -> ``(S,)`` confidence array for ``S`` scenarios.
 
@@ -182,11 +179,10 @@ class CompiledCase:
         parameters take their defaults.  Column ``s`` of the result
         matches ``case.evaluate(overrides_s)`` to 1e-12.
 
-        By default sibling nodes sharing a fusable model type evaluate
+        Sibling nodes sharing a fusable model type evaluate
         level-batched as one flattened call per group — same values (the
         models are elementwise over scenarios), a fraction of the Python
-        dispatch.  ``fused=False`` forces the original per-node loop;
-        it exists for comparison benchmarks and paranoia checks.
+        dispatch.
         """
         columns = dict(columns or {})
         unknown = sorted(set(columns) - set(self._defaults))
@@ -201,12 +197,9 @@ class CompiledCase:
                 if size > 1:
                     n_scenarios = size
                     break
-        from ..engine.dtypes import parameter_dtype
-
-        dtype = parameter_dtype()
-        resolved = dict(self._default_planes(n_scenarios, dtype))
+        resolved = dict(self._default_planes(n_scenarios))
         for name in columns:
-            values = np.asarray(columns[name], dtype=dtype)
+            values = np.asarray(columns[name], dtype=float)
             if values.size not in (1, n_scenarios):
                 raise DomainError(
                     f"column {name!r} has {values.size} values for "
@@ -230,44 +223,39 @@ class CompiledCase:
         )
         out: Dict[str, np.ndarray] = {}
         with tracer.span("case.evaluate_sweep", n_scenarios=n_scenarios,
-                         n_nodes=len(self._records), fused=fused):
+                         n_nodes=len(self._records)):
             for group in self._fused_groups:
                 if (
-                    fused
-                    and len(group) > 1
+                    len(group) > 1
                     and len(group) * n_scenarios <= _FUSE_ELEMENT_CAP
                 ):
                     self._evaluate_group_fused(
                         group, resolved, confidences, out, n_scenarios,
-                        dtype,
                     )
                 else:
                     for slot, record in group:
                         self._evaluate_node(
                             slot, record, resolved, confidences, out,
-                            n_scenarios, dtype,
+                            n_scenarios,
                         )
         return out
 
-    def _default_planes(
-        self, n_scenarios: int, dtype: np.dtype
-    ) -> Dict[str, np.ndarray]:
+    def _default_planes(self, n_scenarios: int) -> Dict[str, np.ndarray]:
         """Broadcast default columns for ``S`` scenarios, cached.
 
         Defaults never change after compilation, so the per-address
         broadcast views (and the range check on assumption defaults)
-        are paid once per distinct (scenario count, dtype) — sweeps
-        re-enter with the same chunk size thousands of times.  The
-        returned dict is shared; callers copy before overriding.
+        are paid once per distinct scenario count — sweeps re-enter
+        with the same chunk size thousands of times.  The returned dict
+        is shared; callers copy before overriding.
         """
-        key = (n_scenarios, dtype.str)
         with self._plane_lock:
-            cached = self._plane_cache.get(key)
+            cached = self._plane_cache.get(n_scenarios)
         if cached is not None:
             return cached
         planes = {
             name: np.broadcast_to(
-                np.asarray(default, dtype=dtype).reshape(-1),
+                np.asarray(default, dtype=float).reshape(-1),
                 (n_scenarios,),
             )
             for name, default in self._defaults.items()
@@ -281,7 +269,7 @@ class CompiledCase:
         with self._plane_lock:
             if len(self._plane_cache) >= 8:
                 self._plane_cache.pop(next(iter(self._plane_cache)))
-            self._plane_cache[key] = planes
+            self._plane_cache[n_scenarios] = planes
         return planes
 
     def _evaluate_node(
@@ -292,9 +280,8 @@ class CompiledCase:
         confidences: List[Optional[np.ndarray]],
         out: Dict[str, np.ndarray],
         n_scenarios: int,
-        dtype: np.dtype,
     ) -> None:
-        """Original per-node dispatch: one ``evaluate_batch`` per record."""
+        """Per-node dispatch: one ``evaluate_batch`` per record."""
         with tracer.span(
             "case.node", node=record.identifier,
             model=type(record.model).__name__,
@@ -313,7 +300,7 @@ class CompiledCase:
             )
             confidence = record.model.evaluate_batch(params, children)
             confidence = np.broadcast_to(
-                np.asarray(confidence, dtype=dtype), (n_scenarios,)
+                np.asarray(confidence, dtype=float), (n_scenarios,)
             )
             for address in record.assumption_addresses:
                 confidence = confidence * resolved[address]
@@ -327,7 +314,6 @@ class CompiledCase:
         confidences: List[Optional[np.ndarray]],
         out: Dict[str, np.ndarray],
         n_scenarios: int,
-        dtype: np.dtype,
     ) -> None:
         """One flattened ``evaluate_batch`` call for ``G`` sibling nodes.
 
@@ -363,7 +349,7 @@ class CompiledCase:
                 else np.empty((0, flat))
             )
             plane = np.asarray(
-                model.evaluate_batch(params, children), dtype=dtype
+                model.evaluate_batch(params, children), dtype=float
             )
             plane = np.broadcast_to(plane, (flat,)).reshape(
                 len(group), n_scenarios

@@ -374,16 +374,6 @@ class CompiledNetwork:
         the returned ``(S, cardinality)`` array is bit-for-bit the
         single-scenario result under the same seed — while the forward
         sampling itself runs as ``(S, n_samples)`` array passes.
-
-        The forward pass honours the engine's
-        :mod:`~repro.engine.dtypes` policy: under ``float32`` the
-        uniform block and sample weights — the sampling path's two
-        big ``(S, n_samples)``-scale arrays — are held at single
-        precision, halving peak memory.  The random *stream* stays the
-        float64 generator output (narrowed on store, so the drawn
-        sequence is unchanged) and the weight reduction accumulates in
-        float64, keeping float32 results within the policy's
-        documented ~1e-5 of the bit-exact float64 default.
         """
         if n_samples < 1:
             raise DomainError("n_samples must be positive")
@@ -400,27 +390,17 @@ class CompiledNetwork:
             )
         generators = [ensure_rng(rng) for rng in rngs]
 
-        # Imported lazily: the engine package imports the pipelines
-        # (and through them this module) while initialising.
-        from ..engine.dtypes import parameter_dtype
-
-        sample_dtype = np.dtype(parameter_dtype())
-
         n = self.n_variables
         n_free = n - len(codes)
         with tracer.span("bbn.lw_batch", target=target, n_samples=n_samples,
-                         n_scenarios=n_scenarios,
-                         dtype=sample_dtype.name):
+                         n_scenarios=n_scenarios):
             with tracer.span("bbn.lw.forward", n_free=n_free):
                 uniforms = None
                 if n_free:
-                    # Draw per scenario at float64 (the stream is part
-                    # of the reproducibility contract), narrowing into
-                    # a policy-dtype block: peak extra memory is one
-                    # scenario's draw, not the whole (S, n, f) stack.
-                    uniforms = np.empty(
-                        (n_scenarios, n_samples, n_free), dtype=sample_dtype
-                    )
+                    # Each scenario's draw fills its row of one
+                    # preallocated block: peak extra memory is one
+                    # scenario's draw, not a stacked copy of the block.
+                    uniforms = np.empty((n_scenarios, n_samples, n_free))
                     for row, generator in enumerate(generators):
                         uniforms[row] = generator.random(
                             (n_samples, n_free)
@@ -433,9 +413,7 @@ class CompiledNetwork:
                 sample_codes = np.empty(
                     (n_scenarios, n_samples, n), dtype=np.int64
                 )
-                weights = np.ones(
-                    (n_scenarios, n_samples), dtype=sample_dtype
-                )
+                weights = np.ones((n_scenarios, n_samples))
                 free_column = 0
                 for i in range(n):
                     parent_idx = self._parents[i]
@@ -457,8 +435,6 @@ class CompiledNetwork:
                         else:
                             rows = np.broadcast_to(self._cpt2d[i][0], shape)
                     if i in codes:
-                        # In place so float64 CPT rows don't upcast a
-                        # float32 weight buffer.
                         weights *= rows[:, :, codes[i]]
                         sample_codes[:, :, i] = codes[i]
                     else:
@@ -482,11 +458,8 @@ class CompiledNetwork:
                     minlength=n_scenarios * card,
                 ).reshape(n_scenarios, card)
                 # cumsum accumulates in sample order, matching the scalar
-                # path; the reduction stays float64 (bincount always
-                # accumulates in double) whatever the sampling dtype.
-                total_weight = np.cumsum(
-                    weights, axis=1, dtype=np.float64
-                )[:, -1]
+                # path.
+                total_weight = np.cumsum(weights, axis=1)[:, -1]
         if np.any(total_weight <= 0):
             raise DomainError(
                 "all samples had zero weight for at least one scenario; "

@@ -1,6 +1,6 @@
 """Command-line interface: ``repro-case``.
 
-Twelve subcommands cover the library's day-one uses:
+Eleven subcommands cover the library's day-one uses:
 
 * ``assess`` — classify a (mode, sigma) log-normal judgement into SILs
   and show the confidence/mean disagreement;
@@ -10,19 +10,15 @@ Twelve subcommands cover the library's day-one uses:
 * ``growth`` — the Bishop-Bloomfield conservative growth bound;
 * ``sweep`` — run batched scenario sweeps (:mod:`repro.engine`) from a
   YAML/JSON spec file (single- or multi-sweep) and tabulate or export
-  the results; ``--stream --out rows.jsonl`` switches to the streaming
-  executor (constant memory, JSONL/CSV sinks, ``--progress`` chunk
-  counters on stderr, ``--cache`` for a disk-persistent result cache,
-  ``--dtype float32`` for half-memory parameter planes, ``--tuned
-  [FILE]`` to run under a measured tuning profile);
-* ``tune`` — measure backend x chunk-size (x dtype) grids for a spec's
-  pipelines through the streaming executor and write the winners to a
-  JSON tuning file (:mod:`repro.tuning`);
+  the results; ``--out rows.jsonl`` and/or ``--store DIR`` stream the
+  rows instead (constant memory, JSONL/CSV sinks or a tile store,
+  ``--progress`` chunk counters on stderr), and ``--cache`` keeps a
+  disk-persistent result cache;
 * ``cache`` — ``stats`` (with per-region hit rates and on-disk bytes)
   and ``clear`` (disk log and/or ``--regions`` for the in-process
   compile caches) for the unified caches (:mod:`repro.compilecache`);
 * ``store`` — ``stats`` and ``query`` for tiled columnar result stores
-  written with ``sweep --stream --store DIR`` (:mod:`repro.store`);
+  written with ``sweep --store DIR`` (:mod:`repro.store`);
   queries slice the stored tiles directly — nothing re-executes — and
   ``sweep --delta`` re-runs a sweep incrementally against a store;
 * ``telemetry`` — ``summary`` renders the span tree and self-time
@@ -44,14 +40,11 @@ Examples::
     repro-case tests --mode 0.003 --sigma 0.9 --bound 1e-2 --target 0.95
     repro-case growth --faults 10 --exposure 1000
     repro-case sweep --spec examples/full_library_sweep.yaml --csv out.csv
-    repro-case sweep --spec examples/sweep_spec.yaml --stream \
+    repro-case sweep --spec examples/sweep_spec.yaml \
         --out rows.jsonl --progress --cache results_cache.jsonl
-    repro-case sweep --spec examples/sweep_spec.yaml --stream \
+    repro-case sweep --spec examples/sweep_spec.yaml \
         --out rows.jsonl --trace sweep.trace.json --metrics
-    repro-case tune --spec examples/sweep_spec.yaml --out tuning.json
-    repro-case sweep --spec examples/sweep_spec.yaml --tuned tuning.json \
-        --stream --out rows.jsonl
-    repro-case sweep --spec examples/sweep_spec.yaml --stream \
+    repro-case sweep --spec examples/sweep_spec.yaml \
         --store results_store --delta
     repro-case store stats results_store
     repro-case store query results_store --fix sigma=0.9 \
@@ -84,10 +77,8 @@ from .engine import (
     run_sweep,
     run_sweep_streaming,
 )
-from .engine.dtypes import DTYPES
 from .errors import ReproError
 from .risk import plan_assurance
-from .tuning.profile import DEFAULT_TUNING_PATH
 from .sil import assess
 from .update import worst_case_intensity, worst_case_mtbf
 from .viz import format_table
@@ -158,15 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=None,
                          help="worker count for thread/process backends")
     p_sweep.add_argument("--csv", default=None, metavar="PATH",
-                         help="also export the results as CSV")
+                         help="also export the collected results as CSV")
     p_sweep.add_argument("--limit", type=int, default=None,
-                         help="print at most this many rows")
-    p_sweep.add_argument("--stream", action="store_true",
-                         help="execute chunk-by-chunk in constant memory, "
-                         "writing rows to --out instead of collecting "
-                         "them (the million-scenario path)")
+                         help="print at most this many collected rows")
     p_sweep.add_argument("--out", default=None, metavar="PATH",
-                         help="output file for --stream (JSONL or CSV)")
+                         help="stream rows chunk-by-chunk in constant "
+                         "memory to PATH (JSONL or CSV) instead of "
+                         "collecting them: the million-scenario path")
     p_sweep.add_argument("--format", default=None,
                          choices=["jsonl", "csv"], dest="out_format",
                          help="streamed output format (default: from the "
@@ -180,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "is bit-identical to a single-process run, and "
                          "a JSONL --out gets a checkpoint manifest")
     p_sweep.add_argument("--resume", action="store_true",
-                         help="resume a killed --stream sweep from its "
+                         help="resume a killed --out sweep from its "
                          "checkpoint manifest, skipping completed chunks "
                          "(final output is byte-identical to an "
                          "uninterrupted run)")
     p_sweep.add_argument("--store", default=None, metavar="DIR",
-                         help="with --stream: also write a tiled columnar "
-                         "result store (NumPy tiles + manifest) to DIR, "
+                         help="stream rows into a tiled columnar result "
+                         "store (NumPy tiles + manifest) at DIR, "
                          "queryable with `repro-case store` and "
                          "re-runnable incrementally with --delta")
     p_sweep.add_argument("--delta", action="store_true",
@@ -215,48 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--metrics", action="store_true",
                          help="collect engine metrics during the run and "
                          "print them afterwards")
-    p_sweep.add_argument("--dtype", default=None,
-                         choices=list(DTYPES),
-                         help="parameter-plane precision (float64 is the "
-                         "bit-exact default; float32 halves plane memory "
-                         "at ~1e-5 tolerance)")
-    p_sweep.add_argument("--tuned", nargs="?", const=DEFAULT_TUNING_PATH,
-                         default=None, metavar="PATH",
-                         help="run under a tuning profile written by "
-                         "`repro-case tune` (default path: "
-                         f"{DEFAULT_TUNING_PATH}); unset backend/"
-                         "chunk-size/dtype come from the measured winner")
-
-    p_tune = sub.add_parser(
-        "tune",
-        help="measure backend x chunk-size (x dtype) grids for the "
-        "spec's pipelines and write the winners to a tuning file",
-    )
-    p_tune.add_argument("--spec", required=True,
-                        help="sweep spec (YAML or JSON) whose pipelines "
-                        "to tune — one representative sweep per pipeline")
-    p_tune.add_argument("--out", default=DEFAULT_TUNING_PATH,
-                        metavar="PATH",
-                        help="tuning file to write (default: "
-                        f"{DEFAULT_TUNING_PATH})")
-    p_tune.add_argument("--backends", default=None, metavar="B1,B2,...",
-                        help="comma-separated backends to try (default: "
-                        "vectorized,serial,thread)")
-    p_tune.add_argument("--chunk-sizes", default=None, dest="chunk_sizes",
-                        metavar="N1,N2,...",
-                        help="comma-separated chunk sizes to try "
-                        "(default: 1024,4096,8192,16384)")
-    p_tune.add_argument("--dtypes", default=None, metavar="D1,D2,...",
-                        help="comma-separated dtypes to try "
-                        "(default: float64 only)")
-    p_tune.add_argument("--repeats", type=int, default=3,
-                        help="timed rounds per configuration; the best "
-                        "is kept (default 3)")
-    p_tune.add_argument("--max-scenarios", type=int, default=None,
-                        dest="max_scenarios", metavar="N",
-                        help="measurement budget per configuration "
-                        "(default 4096; sweeps are trimmed, not run "
-                        "in full)")
 
     p_cache = sub.add_parser(
         "cache",
@@ -308,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_store = sub.add_parser(
         "store",
         help="inspect or query a tiled columnar result store written "
-        "by sweep --stream --store",
+        "by sweep --store",
     )
     store_sub = p_store.add_subparsers(dest="store_command", required=True)
     p_store_stats = store_sub.add_parser(
@@ -453,15 +400,10 @@ class _StreamProgress:
 
 def _run_sweep_streaming(args: argparse.Namespace,
                          sweeps, cache) -> str:
-    if args.out is None and args.store is None:
-        raise ReproError(
-            "--stream needs --out PATH (row stream) and/or --store DIR "
-            "(tiled columnar store)"
-        )
     if len(sweeps) > 1:
         raise ReproError(
-            "--stream runs one sweep per output file; the spec defines "
-            f"{len(sweeps)} — split it or drop --stream"
+            "--out/--store stream one sweep per output; the spec defines "
+            f"{len(sweeps)} — split it or drop --out/--store"
         )
     if args.delta:
         if args.store is None:
@@ -503,7 +445,6 @@ def _run_sweep_streaming(args: argparse.Namespace,
         backend=args.backend,
         max_workers=args.workers,
         chunk_size=args.chunk_size,
-        dtype=args.dtype,
         cache=cache,
         sinks=tuple(sinks),
         progress=_StreamProgress() if args.progress else None,
@@ -542,9 +483,7 @@ def _run_sweep_streaming(args: argparse.Namespace,
     return (
         f"{meta['rows']} rows streamed to {' + '.join(destinations)}, "
         f"pipeline={meta['pipeline']}, backend={meta['backend']}, "
-        f"{meta['n_chunks']} chunks of <= {meta['chunk_size']}, "
-        f"dtype={meta['dtype']}"
-        + (" (tuned)" if meta.get("tuned") else "")
+        f"{meta['n_chunks']} chunks of <= {meta['chunk_size']}"
         + resumed_note + retry_note + delta_note
         + f", cache {meta['cache_hits']} hit / {meta['cache_misses']} miss, "
         f"{meta['elapsed_s']:.3f}s"
@@ -588,25 +527,25 @@ def _run_sweep(args: argparse.Namespace) -> str:
         ResultCache(path=args.cache_path)
         if args.cache_path is not None else None
     )
-    if not args.stream:
-        for flag, name in ((args.out, "--out"),
-                           (args.out_format, "--format"),
-                           (args.progress, "--progress"),
-                           (args.shards, "--shards"),
-                           (args.resume, "--resume"),
-                           (args.store, "--store"),
-                           (args.delta, "--delta"),
-                           (args.tile_scenarios, "--tile-scenarios")):
-            if flag:
-                raise ReproError(f"{name} only applies with --stream")
+    streamed = args.out is not None or args.store is not None
+    if streamed:
+        misplaced = (("--csv", args.csv is not None),
+                     ("--limit", args.limit is not None))
+        where = "to collected sweeps, not with --out or --store"
+    else:
+        misplaced = (("--format", args.out_format is not None),
+                     ("--progress", args.progress),
+                     ("--shards", args.shards is not None),
+                     ("--resume", args.resume),
+                     ("--delta", args.delta),
+                     ("--tile-scenarios", args.tile_scenarios is not None))
+        where = "with --out or --store"
+    for name, given in misplaced:
+        if given:
+            raise ReproError(f"{name} only applies {where}")
 
     from .telemetry import capture_trace, disable_metrics, enable_metrics
-    from .tuning.profile import load_profile, set_active_profile
 
-    previous_profile = None
-    tuned = args.tuned is not None
-    if tuned:
-        previous_profile = set_active_profile(load_profile(args.tuned))
     if args.metrics:
         enable_metrics(reset=True)
     try:
@@ -614,7 +553,7 @@ def _run_sweep(args: argparse.Namespace) -> str:
             with capture_trace() as trace:
                 report = (
                     _run_sweep_streaming(args, sweeps, cache)
-                    if args.stream else
+                    if streamed else
                     _run_sweep_collect(args, sweeps, cache)
                 )
             if str(args.trace).lower().endswith(".jsonl"):
@@ -629,16 +568,12 @@ def _run_sweep(args: argparse.Namespace) -> str:
         else:
             report = (
                 _run_sweep_streaming(args, sweeps, cache)
-                if args.stream else
+                if streamed else
                 _run_sweep_collect(args, sweeps, cache)
             )
     finally:
         if args.metrics:
             disable_metrics()
-        if tuned:
-            set_active_profile(previous_profile)
-    if tuned:
-        report += f"\ntuning profile: {args.tuned}"
     if args.metrics:
         report += "\n" + _metrics_report()
     return report
@@ -650,7 +585,7 @@ def _run_sweep_collect(args: argparse.Namespace, sweeps, cache) -> str:
     for index, spec in enumerate(sweeps):
         result = run_sweep(
             spec, backend=args.backend, max_workers=args.workers,
-            chunk_size=args.chunk_size, dtype=args.dtype, cache=cache,
+            chunk_size=args.chunk_size, cache=cache,
         )
         label = spec.name or spec.pipeline
         if len(sweeps) > 1:
@@ -913,95 +848,6 @@ def _run_cache(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _parse_csv_list(raw: Optional[str], cast, flag: str):
-    """``"a,b,c"`` → tuple, or None when the flag was not given."""
-    if raw is None:
-        return None
-    items = [piece.strip() for piece in raw.split(",") if piece.strip()]
-    if not items:
-        raise ReproError(f"{flag} needs at least one value")
-    try:
-        return tuple(cast(item) for item in items)
-    except ValueError as exc:
-        raise ReproError(f"invalid {flag} value: {exc}") from exc
-
-
-def _run_tune(args: argparse.Namespace) -> str:
-    from .tuning import autotune
-    from .tuning.autotune import (
-        DEFAULT_BACKENDS,
-        DEFAULT_CHUNK_SIZES,
-        DEFAULT_MAX_SCENARIOS,
-    )
-
-    try:
-        sweeps = load_sweeps(args.spec)
-    except OSError as exc:
-        raise ReproError(f"cannot read spec file {args.spec}: {exc}") from exc
-    backends = _parse_csv_list(args.backends, str, "--backends")
-    chunk_sizes = _parse_csv_list(args.chunk_sizes, int, "--chunk-sizes")
-    dtypes = _parse_csv_list(args.dtypes, str, "--dtypes")
-    if args.repeats < 1:
-        raise ReproError(f"--repeats must be positive, got {args.repeats}")
-    max_scenarios = args.max_scenarios
-    if max_scenarios is not None and max_scenarios < 1:
-        raise ReproError(
-            f"--max-scenarios must be positive, got {max_scenarios}"
-        )
-
-    def progress(pipeline: str, index: int, total: int) -> None:
-        print(f"tuning {pipeline}: config {index + 1}/{total}",
-              file=sys.stderr, flush=True)
-
-    profile = autotune(
-        sweeps,
-        backends=backends if backends is not None else DEFAULT_BACKENDS,
-        chunk_sizes=(
-            chunk_sizes if chunk_sizes is not None else DEFAULT_CHUNK_SIZES
-        ),
-        dtypes=dtypes if dtypes is not None else ("float64",),
-        repeats=args.repeats,
-        max_scenarios=(
-            max_scenarios if max_scenarios is not None
-            else DEFAULT_MAX_SCENARIOS
-        ),
-        progress=progress,
-    )
-    try:
-        profile.save(args.out)
-    except OSError as exc:
-        raise ReproError(
-            f"cannot write tuning file {args.out}: {exc}"
-        ) from exc
-    rows = []
-    for pipeline in profile.pipelines():
-        for bucket, entry in sorted(profile.bucket_entries(pipeline).items()):
-            default = next(
-                (point for point in entry.grid if point.get("default")), None
-            )
-            speedup = (
-                f"{entry.rows_per_s / default['rows_per_s']:.2f}x"
-                if default and default["rows_per_s"] > 0 else "-"
-            )
-            rows.append([
-                pipeline, bucket, entry.backend, str(entry.chunk_size),
-                entry.dtype, f"{entry.rows_per_s:,.0f}", speedup,
-            ])
-    table = format_table(
-        ["pipeline", "shape", "backend", "chunk", "dtype", "rows/s",
-         "vs default"],
-        rows,
-    )
-    return (
-        table
-        + f"\ntuning profile written to {args.out} "
-        f"({len(profile)} pipeline(s)); "
-        "use it with `repro-case sweep --tuned"
-        + (f" {args.out}" if args.out != DEFAULT_TUNING_PATH else "")
-        + "`"
-    )
-
-
 def _parse_fix(items: List[str], store) -> Dict[str, object]:
     """``AXIS=VALUE`` pairs resolved against the store's grid values."""
     axes = dict(store.axes)
@@ -1128,7 +974,6 @@ _RUNNERS = {
     "tests": _run_tests,
     "growth": _run_growth,
     "sweep": _run_sweep,
-    "tune": _run_tune,
     "case": _run_case,
     "validate": _run_validate,
     "pipelines": _run_pipelines,

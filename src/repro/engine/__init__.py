@@ -49,7 +49,6 @@ Quickstart::
 from . import kernels
 from .cache import ResultCache
 from .coordinator import SweepManifest, run_sweep_sharded, shard_ranges
-from .dtypes import DTYPES, parameter_dtype, resolve_dtype, use_dtype
 from .executor import BACKENDS, run_scenario, run_sweep
 from .kernels import survival_sweep, survival_sweep_columns
 from .pipelines import (
@@ -72,10 +71,6 @@ __all__ = [
     "run_sweep_sharded",
     "shard_ranges",
     "BACKENDS",
-    "DTYPES",
-    "parameter_dtype",
-    "resolve_dtype",
-    "use_dtype",
     "run_scenario",
     "run_sweep",
     "run_sweep_streaming",

@@ -55,7 +55,7 @@ from ..compilecache import compile_seconds
 from ..errors import DomainError
 from ..telemetry import metrics, tracer
 from .cache import ResultCache
-from .plan import ExecutionPlan, lower
+from .plan import ExecutionPlan
 from .sinks import JsonlSink, ResultSink, truncate_torn_tail
 
 __all__ = ["run_sweep_sharded", "SweepManifest", "shard_ranges",
@@ -283,7 +283,6 @@ def run_sweep_sharded(
     shards: int = 1,
     backend: str = "auto",
     chunk_size: Optional[int] = None,
-    dtype: Optional[str] = None,
     cache: Optional[ResultCache] = None,
     sinks: Sequence[ResultSink] = (),
     progress=None,
@@ -319,31 +318,14 @@ def run_sweep_sharded(
 
     from .stream import _resolve_backend
 
-    if isinstance(sweep, ExecutionPlan):
-        if chunk_size is not None and chunk_size != sweep.chunk_size:
-            raise DomainError(
-                "chunk_size conflicts with the already-lowered plan; "
-                "re-lower the sweep instead"
-            )
-        if dtype is not None and dtype != sweep.dtype:
-            raise DomainError(
-                "dtype conflicts with the already-lowered plan; "
-                "re-lower the sweep instead"
-            )
-        plan = sweep
-        plan_elapsed = 0.0
-    else:
-        plan = lower(sweep, chunk_size=chunk_size, dtype=dtype)
-        plan_elapsed = time.perf_counter() - started
-
-    effective, _ = _resolve_backend(plan, backend)
     # Workers are the parallelism; inside each one, pooled backends
-    # would only oversubscribe.  Keep serial explicit, map the rest to
-    # the pipeline's fastest in-process backend.
-    if effective == "serial" or not plan.pipeline.supports_batch:
-        worker_backend = "serial"
-    else:
-        worker_backend = "vectorized"
+    # would only oversubscribe, so they run as the pipeline's fastest
+    # in-process backend (what ``auto`` picks).
+    plan, worker_backend, _ = _resolve_backend(
+        sweep, "auto" if backend in ("thread", "process") else backend,
+        chunk_size=chunk_size,
+    )
+    plan_elapsed = time.perf_counter() - started
     label = f"shards({shards}):{worker_backend}"
 
     sinks = tuple(sinks)
@@ -428,7 +410,6 @@ def run_sweep_sharded(
                 "n_scenarios": plan.n_scenarios,
                 "n_chunks": n_chunks,
                 "chunk_size": plan.chunk_size,
-                "dtype": plan.dtype,
                 "n_shards": shards,
                 "shards": [list(pair) for pair in ranges],
                 "sink": os.path.basename(checkpoint.path),
@@ -460,18 +441,12 @@ def run_sweep_sharded(
         )
         state.process.start()
 
-    from ..tuning.profile import active_profile
-
-    profile = active_profile()
     meta: Dict[str, Any] = {
         "pipeline": plan.pipeline_name,
         "backend": label,
         "n_scenarios": plan.n_scenarios,
         "n_chunks": n_chunks,
         "chunk_size": plan.chunk_size,
-        "dtype": plan.dtype,
-        "tuned": bool(profile is not None
-                      and plan.pipeline_name in profile),
         "shards": shards,
         "resumed": resumed,
         "resumed_chunks": completed,

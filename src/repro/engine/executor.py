@@ -30,15 +30,12 @@ Backends
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Optional, Sequence, Union
 
-from ..errors import DomainError
 from ..telemetry import tracer
 from .cache import ResultCache
 from .pipelines import get_pipeline
-from .plan import lower
 from .results import ResultSet, ScenarioResult
 from .sinks import MemorySink
 from .spec import ScenarioSpec, SweepSpec
@@ -76,34 +73,11 @@ def run_scenario(
         return ScenarioResult(spec, values)
 
 
-def _wrapper_chunk_size(
-    n: int, backend: str, max_workers: Optional[int],
-    chunk_size: Optional[int],
-) -> int:
-    """The chunk layout preserving run_sweep's historical behaviour.
-
-    Serial and vectorised sweeps run as one chunk (the collecting API
-    holds everything in memory anyway, and a single ``run_batch`` call
-    is the fastest shape for a batch kernel).  Pooled backends split
-    into several chunks per worker so the pool can steal work.
-    """
-    if chunk_size is not None:
-        if chunk_size < 1:
-            raise DomainError("chunk_size must be positive")
-        return chunk_size
-    if backend in ("thread", "process"):
-        workers = max_workers or os.cpu_count() or 1
-        n_chunks = min(n, max(workers * 4, 1))
-        return max(1, -(-n // n_chunks))
-    return max(n, 1)
-
-
 def run_sweep(
     sweep: SweepLike,
     backend: str = "auto",
     max_workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    dtype: Optional[str] = None,
     cache: Optional[ResultCache] = None,
 ) -> ResultSet:
     """Expand and execute a sweep; results keep the expansion order.
@@ -115,36 +89,22 @@ def run_sweep(
     :func:`~repro.engine.run_sweep_streaming` — for sweeps too large to
     hold in memory, use the streaming API with a file sink instead.
     """
-    if backend not in BACKENDS:
-        raise DomainError(
-            f"backend must be one of {', '.join(BACKENDS)}, got {backend!r}"
-        )
     started = time.perf_counter()
-    if isinstance(sweep, SweepSpec):
-        n = sweep.n_scenarios()
-    else:
+    if not isinstance(sweep, SweepSpec):
+        # lower() refuses an empty scenario list: it has no pipeline.
         sweep = list(sweep)
-        if not all(isinstance(s, ScenarioSpec) for s in sweep):
-            raise DomainError(
-                "sweep must be a SweepSpec or a sequence of ScenarioSpec"
-            )
-        n = len(sweep)
-    if n == 0:
-        return ResultSet([], {
-            "backend": backend,
-            "n_scenarios": 0,
-            "elapsed_s": time.perf_counter() - started,
-        })
-    plan = lower(
-        sweep,
-        chunk_size=_wrapper_chunk_size(n, backend, max_workers, chunk_size),
-        dtype=dtype,
-    )
+        if not sweep:
+            return ResultSet([], {
+                "backend": backend,
+                "n_scenarios": 0,
+                "elapsed_s": time.perf_counter() - started,
+            })
     sink = MemorySink()
     meta = run_sweep_streaming(
-        plan,
+        sweep,
         backend=backend,
         max_workers=max_workers,
+        chunk_size=chunk_size,
         cache=cache,
         sinks=(sink,),
     )

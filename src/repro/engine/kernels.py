@@ -38,9 +38,6 @@ from ..errors import DomainError
 from ..numerics import log_grid, norm_cdf, norm_ppf
 from ..telemetry import tracer
 from ..update import survival_update_batch
-# Parameter coercions honour the plane dtype policy (float64 default,
-# float32 when a plan opts in); see repro.engine.dtypes.
-from .dtypes import parameter_dtype
 
 __all__ = [
     "survival_sweep",
@@ -97,10 +94,10 @@ def survival_sweep_columns(
     ``survival_update(LogNormal(mode_i, sigma_i), DemandEvidence(n_i))``
     evaluated on ``grid`` to round-off.
     """
-    modes_arr = np.atleast_1d(np.asarray(modes, dtype=parameter_dtype()))
-    sigmas_arr = np.atleast_1d(np.asarray(sigmas, dtype=parameter_dtype()))
-    demands_arr = np.atleast_1d(np.asarray(demands, dtype=parameter_dtype()))
-    bounds_arr = np.atleast_1d(np.asarray(bounds, dtype=parameter_dtype()))
+    modes_arr = np.atleast_1d(np.asarray(modes, dtype=float))
+    sigmas_arr = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    demands_arr = np.atleast_1d(np.asarray(demands, dtype=float))
+    bounds_arr = np.atleast_1d(np.asarray(bounds, dtype=float))
     modes_arr, sigmas_arr, demands_arr, bounds_arr = np.broadcast_arrays(
         modes_arr, sigmas_arr, demands_arr, bounds_arr
     )
@@ -296,8 +293,8 @@ def lv_lattice_sweep(
 def lognormal_mu_from_mode(modes, sigmas) -> np.ndarray:
     """``mu`` for lognormals given (mode, sigma) arrays — elementwise the
     same expression as ``LogNormalJudgement.from_mode_sigma``."""
-    modes = np.asarray(modes, dtype=parameter_dtype())
-    sigmas = np.asarray(sigmas, dtype=parameter_dtype())
+    modes = np.asarray(modes, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float)
     if np.any(modes <= 0):
         raise DomainError("mode values must be positive")
     if np.any(sigmas <= 0):
@@ -308,8 +305,8 @@ def lognormal_mu_from_mode(modes, sigmas) -> np.ndarray:
 def lognormal_moments(mu, sigma) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(mean, mode, variance)`` arrays for lognormal parameter arrays,
     elementwise identical to the scalar ``LogNormalJudgement`` methods."""
-    mu = np.asarray(mu, dtype=parameter_dtype())
-    sigma = np.asarray(sigma, dtype=parameter_dtype())
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
     s2 = sigma**2
     mean = np.exp(mu + 0.5 * s2)
     mode = np.exp(mu - s2)
@@ -320,14 +317,12 @@ def lognormal_moments(mu, sigma) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def lognormal_confidence(mu, sigma, bounds) -> np.ndarray:
     """``P(X < bound)`` for lognormal parameter arrays — elementwise the
     scalar ``LogNormalJudgement.cdf`` (zero at non-positive bounds)."""
-    mu = np.asarray(mu, dtype=parameter_dtype())
-    sigma = np.asarray(sigma, dtype=parameter_dtype())
-    bounds = np.asarray(bounds, dtype=parameter_dtype())
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    bounds = np.asarray(bounds, dtype=float)
     if np.any(bounds < 0):
         raise DomainError("claim bound must be non-negative")
-    out = np.zeros(
-        np.broadcast(mu, sigma, bounds).shape, dtype=parameter_dtype()
-    )
+    out = np.zeros(np.broadcast(mu, sigma, bounds).shape, dtype=float)
     positive = np.broadcast_to(bounds > 0, out.shape)
     mu_b = np.broadcast_to(mu, out.shape)
     sigma_b = np.broadcast_to(sigma, out.shape)
@@ -344,8 +339,8 @@ def lognormal_interval(mu, sigma, level: float) -> Tuple[np.ndarray, np.ndarray]
     elementwise identical to ``JudgementDistribution.credible_interval``."""
     if not 0 < level < 1:
         raise DomainError("credible level must lie strictly in (0, 1)")
-    mu = np.asarray(mu, dtype=parameter_dtype())
-    sigma = np.asarray(sigma, dtype=parameter_dtype())
+    mu = np.asarray(mu, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
     alpha = (1.0 - level) / 2.0
     low = np.exp(mu + sigma * norm_ppf(alpha))
     high = np.exp(mu + sigma * norm_ppf(1.0 - alpha))

@@ -74,9 +74,6 @@ from ..errors import DomainError
 from ..numerics import ensure_rng
 from ..telemetry import tracer
 from . import kernels as _kernels
-# Parameter columns honour the active dtype policy (float64 unless a
-# plan requests float32 planes); see repro.engine.dtypes.
-from .dtypes import parameter_dtype as _plane_dtype
 
 __all__ = [
     "Pipeline",
@@ -367,7 +364,7 @@ def _two_leg_posterior_batch(pipeline, items):
     resolved = [pipeline.resolve(params) for params, _seed in items]
 
     def column(name):
-        return np.array([p[name] for p in resolved], dtype=_plane_dtype())
+        return np.array([p[name] for p in resolved], dtype=float)
 
     columns = two_leg_posterior_sweep(
         column("prior"), column("dependence"),
@@ -446,7 +443,7 @@ def _bbn_query_batch(pipeline, items):
 
             def column(name):
                 return np.array(
-                    [resolved[i][name] for i in chunk], dtype=_plane_dtype()
+                    [resolved[i][name] for i in chunk], dtype=float
                 )
 
             planes = two_leg_cpt_planes(
@@ -558,7 +555,7 @@ def _case_confidence_batch(pipeline, items):
         compiled = compile_case(load_case(case_file))
         columns = {
             name: np.array(
-                [resolved[i][name] for i in indices], dtype=_plane_dtype()
+                [resolved[i][name] for i in indices], dtype=float
             )
             for name in compiled.parameter_defaults()
         }
@@ -630,10 +627,10 @@ def _sil_classification_batch(pipeline, items):
     results: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
     for (scheme_name,), indices in _group_items(resolved, ["scheme"]).items():
         scheme = _band_scheme(scheme_name)
-        modes = np.array([resolved[i]["mode"] for i in indices], dtype=_plane_dtype())
-        sigmas = np.array([resolved[i]["sigma"] for i in indices], dtype=_plane_dtype())
+        modes = np.array([resolved[i]["mode"] for i in indices], dtype=float)
+        sigmas = np.array([resolved[i]["sigma"] for i in indices], dtype=float)
         required = np.array(
-            [resolved[i]["required_confidence"] for i in indices], dtype=_plane_dtype()
+            [resolved[i]["required_confidence"] for i in indices], dtype=float
         )
         mu = _kernels.lognormal_mu_from_mode(modes, sigmas)
         means, mode_values, _ = _kernels.lognormal_moments(mu, sigmas)
@@ -988,13 +985,13 @@ def _sil_from_growth_batch(pipeline, items):
 
         margin = np.array(
             [resolved[i]["assumption_margin_decades"] for i in indices],
-            dtype=_plane_dtype(),
+            dtype=float,
         )
         base_sigma = np.array(
-            [resolved[i]["base_sigma"] for i in indices], dtype=_plane_dtype()
+            [resolved[i]["base_sigma"] for i in indices], dtype=float
         )
         required = np.array(
-            [resolved[i]["required_confidence"] for i in indices], dtype=_plane_dtype()
+            [resolved[i]["required_confidence"] for i in indices], dtype=float
         )
         judgement_mode = np.minimum(intensity * 10.0**margin, 0.5)
         judgement_sigma = base_sigma + 0.25 * margin
@@ -1164,7 +1161,7 @@ def _elicitation_pool_batch(pipeline, items):
             low, high = _kernels.lognormal_interval(mu, sigmas, 0.9)
             weights = information_weights(np.log10(high / low))
         bounds = np.array([resolved[i]["bound"] for i in indices],
-                          dtype=_plane_dtype())
+                          dtype=float)
         pooled = _kernels.linear_pool_sweep(modes, sigmas, weights, bounds)
         main_weights = np.where(doubters, 0.0, weights)
         main = _kernels.linear_pool_sweep(
@@ -1263,11 +1260,11 @@ def _expert_calibration_batch(pipeline, items):
             truths[position] = ExpertCalibrationPipeline._truths(
                 resolved[index], ensure_rng(seeds[index])
             )
-        modes = np.array([resolved[i]["mode"] for i in indices], dtype=_plane_dtype())
+        modes = np.array([resolved[i]["mode"] for i in indices], dtype=float)
         sigmas = np.array([resolved[i]["sigma"] for i in indices],
-                          dtype=_plane_dtype())
+                          dtype=float)
         bounds = np.array([resolved[i]["claim_bound"] for i in indices],
-                          dtype=_plane_dtype())
+                          dtype=float)
         mu = _kernels.lognormal_mu_from_mode(modes, sigmas)
         stated = _kernels.lognormal_confidence(mu, sigmas, bounds)
         low, high = _kernels.lognormal_interval(mu, sigmas, 0.9)
@@ -1411,13 +1408,13 @@ def _iec61508_sil_batch(pipeline, items):
     results: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
     for (scheme_name,), indices in _group_items(resolved, ["scheme"]).items():
         scheme = _band_scheme(scheme_name)
-        modes = np.array([resolved[i]["mode"] for i in indices], dtype=_plane_dtype())
+        modes = np.array([resolved[i]["mode"] for i in indices], dtype=float)
         sigmas = np.array([resolved[i]["sigma"] for i in indices],
-                          dtype=_plane_dtype())
+                          dtype=float)
         required = np.array(
             [clause(resolved[i]["clause"]).required_confidence
              for i in indices],
-            dtype=_plane_dtype(),
+            dtype=float,
         )
         mu = _kernels.lognormal_mu_from_mode(modes, sigmas)
         confidences = _kernels.band_confidence_sweep(mu, sigmas, scheme)
@@ -1500,11 +1497,11 @@ def _do178b_map_batch(pipeline, items):
             [resolved[i]["mode"] for i in judged],
             [resolved[i]["sigma"] for i in judged],
         )
-        sigmas = np.array([resolved[i]["sigma"] for i in judged], dtype=_plane_dtype())
+        sigmas = np.array([resolved[i]["sigma"] for i in judged], dtype=float)
         rates = np.array(
             [do178b.rate_guidance_per_hour(resolved[i]["dal"])
              for i in judged],
-            dtype=_plane_dtype(),
+            dtype=float,
         )
         values = _kernels.lognormal_confidence(mu, sigmas, rates)
         confidences = {

@@ -36,7 +36,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from ..errors import DomainError
 from ..numerics import spawn_seeds_range
 from ..telemetry import tracer
-from .dtypes import resolve_dtype
 from .pipelines import Pipeline, get_pipeline
 from .spec import ScenarioSpec, SweepSpec
 
@@ -48,6 +47,11 @@ __all__ = ["Chunk", "ExecutionPlan", "PlanShard", "lower",
 #: small enough that a chunk's rows and intermediates stay comfortably
 #: in cache/memory.
 DEFAULT_CHUNK_SIZE = 8192
+
+#: Hashed into every fingerprint payload.  Parameter planes are always
+#: float64; the entry stays so that tile stores and checkpoint manifests
+#: written when the dtype was selectable keep matching.
+_FINGERPRINT_DTYPE = "float64"
 
 SweepLike = Union[SweepSpec, Sequence[ScenarioSpec]]
 
@@ -90,7 +94,6 @@ class ExecutionPlan:
         master_seed: Optional[int],
         n_scenarios: int,
         chunk_size: int,
-        dtype: str = "float64",
         explicit: Optional[Tuple[ScenarioSpec, ...]] = None,
     ):
         self._pipeline_name = pipeline_name
@@ -100,7 +103,6 @@ class ExecutionPlan:
         self._master_seed = master_seed
         self._n = int(n_scenarios)
         self._chunk_size = int(chunk_size)
-        self._dtype = resolve_dtype(dtype)
         self._explicit = explicit
         self._fingerprint: Optional[str] = None
         # Mixed-radix place values: axis j's digit advances every
@@ -132,12 +134,6 @@ class ExecutionPlan:
     @property
     def chunk_size(self) -> int:
         return self._chunk_size
-
-    @property
-    def dtype(self) -> str:
-        """Parameter-plane dtype kernels run at (``"float64"`` default,
-        ``"float32"`` for memory-bound sweeps — tolerance ~1e-5)."""
-        return self._dtype
 
     @property
     def n_chunks(self) -> int:
@@ -376,8 +372,8 @@ class ExecutionPlan:
         """Content hash identifying the plan's full output stream.
 
         Folds everything the stream depends on: pipeline name, base
-        parameters, axes, master seed, scenario count, chunk layout,
-        dtype — plus pipeline-folded content anchor keys, so
+        parameters, axes, master seed, scenario count, chunk layout —
+        plus pipeline-folded content anchor keys, so
         file-referencing pipelines hash the referenced *content* too
         (editing a case file changes the fingerprint).  One anchor per
         distinct value combination of the content-referencing
@@ -395,7 +391,7 @@ class ExecutionPlan:
             "master_seed": self._master_seed,
             "n_scenarios": self._n,
             "chunk_size": self._chunk_size,
-            "dtype": self._dtype,
+            "dtype": _FINGERPRINT_DTYPE,
             "explicit": (
                 [scenario.key() for scenario in self._explicit]
                 if self._explicit is not None else None
@@ -425,7 +421,7 @@ class ExecutionPlan:
         ``blocks`` gives an ``(offset, length)`` window per grid axis
         (or a single window over scenario indices for explicit/gridless
         plans).  The hash folds exactly what the region's rows depend
-        on — pipeline, base parameters, dtype, the *windowed* axis
+        on — pipeline, base parameters, the *windowed* axis
         values, and pipeline-folded content anchor keys: one cache key
         per distinct combination the region takes of the
         content-referencing parameters (file-referencing pipelines
@@ -443,7 +439,7 @@ class ExecutionPlan:
         payload: Dict[str, Any] = {
             "pipeline": self._pipeline_name,
             "base": self._base,
-            "dtype": self._dtype,
+            "dtype": _FINGERPRINT_DTYPE,
         }
         if self._explicit is not None or not self._axes:
             if len(blocks) != 1:
@@ -543,7 +539,6 @@ class PlanShard(ExecutionPlan):
             master_seed=parent._master_seed,
             n_scenarios=parent._n,
             chunk_size=parent._chunk_size,
-            dtype=parent._dtype,
             explicit=parent._explicit,
         )
         self._start_chunk = int(start_chunk)
@@ -616,59 +611,31 @@ class PlanShard(ExecutionPlan):
         )
 
 
-def _tuned_defaults(pipeline_name: str, n_scenarios: int = 0):
-    """(chunk_size, dtype) from the active tuning profile, if any.
-
-    Imported lazily: :mod:`repro.tuning` measures through the executor,
-    so a module-level import would be circular.  ``n_scenarios`` keys
-    the profile's shape bucket — winners measured at one sweep scale
-    don't silently apply orders of magnitude away.
-    """
-    from ..tuning.profile import tuned_defaults
-
-    return tuned_defaults(pipeline_name, n_scenarios)
-
-
 def lower(
-    sweep: SweepLike,
+    sweep: Union[SweepLike, ExecutionPlan],
     chunk_size: Optional[int] = None,
-    dtype: Optional[str] = None,
 ) -> ExecutionPlan:
     """Lower a sweep (or explicit scenario list) to an :class:`ExecutionPlan`.
 
-    ``chunk_size`` defaults to the active tuning profile's measured
-    winner for the pipeline (see :mod:`repro.tuning`), falling back to
-    :data:`DEFAULT_CHUNK_SIZE`; pass 1 for scenario-at-a-time streaming
-    or a larger value to trade memory for kernel efficiency.  ``dtype``
-    selects the parameter-plane precision (``"float64"`` bit-exact
-    default, ``"float32"`` for memory-bound sweeps at ~1e-5 tolerance);
-    like ``chunk_size`` it defaults through the tuning profile.
-    Spec-level errors (unknown pipeline, mixed pipelines, bad chunk
-    size) surface here, before execution.
+    ``chunk_size`` defaults to :data:`DEFAULT_CHUNK_SIZE`; pass 1 for
+    scenario-at-a-time streaming or a larger value to trade memory for
+    kernel efficiency.  An already-lowered plan is returned unchanged,
+    so executors accept either; a ``chunk_size`` that differs from the
+    plan's layout is refused rather than ignored.  Spec-level errors
+    (unknown pipeline, mixed pipelines, bad chunk size) surface here,
+    before execution.
     """
-    if not isinstance(sweep, SweepSpec):
-        sweep = tuple(sweep)
-    pipeline_name = (
-        sweep.pipeline if isinstance(sweep, SweepSpec)
-        else getattr(sweep[0], "pipeline", None) if sweep else None
-    )
-    n_scenarios = (
-        sweep.n_scenarios() if isinstance(sweep, SweepSpec) else len(sweep)
-    )
-    if chunk_size is None or dtype is None:
-        tuned_chunk, tuned_dtype = (
-            _tuned_defaults(pipeline_name, n_scenarios)
-            if pipeline_name else (None, None)
-        )
-        if chunk_size is None:
-            chunk_size = tuned_chunk
-        if dtype is None:
-            dtype = tuned_dtype
+    if isinstance(sweep, ExecutionPlan):
+        if chunk_size is not None and chunk_size != sweep.chunk_size:
+            raise DomainError(
+                "chunk_size conflicts with the already-lowered plan; "
+                "re-lower the sweep instead"
+            )
+        return sweep
     if chunk_size is None:
         chunk_size = DEFAULT_CHUNK_SIZE
     if chunk_size < 1:
         raise DomainError("chunk_size must be positive")
-    dtype = resolve_dtype(dtype)
     with tracer.span("plan.lower") as span:
         if isinstance(sweep, SweepSpec):
             axes = tuple(
@@ -681,13 +648,11 @@ def lower(
                 master_seed=sweep.seed,
                 n_scenarios=sweep.n_scenarios(),
                 chunk_size=chunk_size,
-                dtype=dtype,
             )
             span.set(pipeline=plan.pipeline_name,
                      n_scenarios=plan.n_scenarios,
                      n_chunks=plan.n_chunks,
-                     chunk_size=plan.chunk_size,
-                     dtype=plan.dtype)
+                     chunk_size=plan.chunk_size)
             return plan
         scenarios = tuple(sweep)
         if not all(isinstance(s, ScenarioSpec) for s in scenarios):
@@ -711,12 +676,10 @@ def lower(
             master_seed=None,
             n_scenarios=len(scenarios),
             chunk_size=chunk_size,
-            dtype=dtype,
             explicit=scenarios,
         )
         span.set(pipeline=plan.pipeline_name,
                  n_scenarios=plan.n_scenarios,
                  n_chunks=plan.n_chunks,
-                 chunk_size=plan.chunk_size,
-                 dtype=plan.dtype)
+                 chunk_size=plan.chunk_size)
         return plan

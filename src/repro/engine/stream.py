@@ -25,6 +25,7 @@ for a given spec.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -34,11 +35,10 @@ from ..compilecache import compile_seconds
 from ..errors import DomainError
 from ..telemetry import metrics, tracer
 from .cache import ResultCache
-from .dtypes import use_dtype
-from .plan import ExecutionPlan, lower
+from .plan import DEFAULT_CHUNK_SIZE, ExecutionPlan, lower
 from .results import ScenarioResult
 from .sinks import ResultSink
-from .spec import ScenarioSpec
+from .spec import ScenarioSpec, SweepSpec
 
 __all__ = ["run_sweep_streaming", "stream_results", "BACKENDS"]
 
@@ -52,57 +52,66 @@ _M_QUEUE_DEPTH = metrics.gauge("engine.queue_depth")
 
 BACKENDS = ("auto", "vectorized", "serial", "thread", "process")
 
-#: Streaming default chunk for pooled backends: small enough that a
-#: handful of chunks per worker are in flight, large enough to amortise
-#: pickling and dispatch.
-_POOLED_CHUNK_SIZE = 1024
+#: Chunks per pool worker when a pooled backend picks the chunk size:
+#: finished workers steal the next submitted chunk instead of idling
+#: behind a slow sibling.
+_CHUNKS_PER_WORKER = 4
 
 ProgressFn = Callable[[int, int, int, int], None]
 
 
-def _execute_chunk(
-    pipeline_name: str, items, dtype: str = "float64"
-) -> List[Dict[str, Any]]:
+def _execute_chunk(pipeline_name: str, items) -> List[Dict[str, Any]]:
     """Run one chunk's items; module-level so process pools can pickle
-    it by reference.  The plan's dtype policy is re-entered here so
-    pool workers (threads or processes) honour it."""
-    from .dtypes import use_dtype
+    it by reference."""
     from .pipelines import get_pipeline
 
-    with use_dtype(dtype):
-        return get_pipeline(pipeline_name).run_batch(items)
+    return get_pipeline(pipeline_name).run_batch(items)
 
 
-def _resolve_backend(plan: ExecutionPlan, backend: str) -> Tuple[str, str]:
-    """(effective backend, meta label) after ``auto`` resolution.
+def _resolve_backend(
+    sweep,
+    backend: str,
+    max_workers: Optional[int] = None,
+    chunk_size: Optional[int] = None,
+) -> Tuple[ExecutionPlan, str, str]:
+    """Lower ``sweep`` for ``backend``: (plan, effective backend, meta
+    label).  Every executor settles its backend, worker count and chunk
+    layout here.
 
-    ``auto`` prefers the active tuning profile's measured winner for
-    the pipeline (when one is installed and compatible), then falls
-    back to the static rule: vectorised when the pipeline has a batch
-    kernel, serial otherwise.
+    ``auto`` runs ``vectorized`` when the pipeline has a batch kernel,
+    else ``serial``.  An unset ``chunk_size`` is
+    :data:`~repro.engine.plan.DEFAULT_CHUNK_SIZE`, except that pooled
+    backends split the sweep into ``_CHUNKS_PER_WORKER`` chunks per
+    worker when those come out smaller.  An already-lowered plan keeps
+    its own layout.
     """
     if backend not in BACKENDS:
         raise DomainError(
             f"backend must be one of {', '.join(BACKENDS)}, got {backend!r}"
         )
+    if max_workers is not None and max_workers < 1:
+        raise DomainError(
+            f"max_workers must be at least 1, got {max_workers}"
+        )
+    if (chunk_size is None and backend in ("thread", "process")
+            and not isinstance(sweep, ExecutionPlan)):
+        if not isinstance(sweep, SweepSpec):
+            sweep = tuple(sweep)
+        n = sweep.n_scenarios() if isinstance(sweep, SweepSpec) else len(sweep)
+        chunks = _CHUNKS_PER_WORKER * (max_workers or os.cpu_count() or 1)
+        chunk_size = max(1, min(DEFAULT_CHUNK_SIZE, -(-n // chunks)))
+    plan = lower(sweep, chunk_size)
     if backend == "auto":
-        from ..tuning.profile import tuned_backend
-
-        tuned = tuned_backend(plan.pipeline_name, plan.n_scenarios)
-        if tuned in BACKENDS and tuned != "auto" and not (
-            tuned == "vectorized" and not plan.pipeline.supports_batch
-        ):
-            return tuned, f"auto->tuned:{tuned}"
         effective = (
             "vectorized" if plan.pipeline.supports_batch else "serial"
         )
-        return effective, f"auto->{effective}"
+        return plan, effective, f"auto->{effective}"
     if backend == "vectorized" and not plan.pipeline.supports_batch:
         raise DomainError(
             f"pipeline {plan.pipeline_name!r} has no vectorised kernel; "
             f"use backend='serial', 'thread' or 'process'"
         )
-    return backend, backend
+    return plan, backend, backend
 
 
 class _ChunkWork:
@@ -164,7 +173,7 @@ def stream_results(
     chunks runs ahead of the emission point, so memory stays constant
     while workers steal whatever is submitted.
     """
-    effective, _label = _resolve_backend(plan, backend)
+    plan, effective, _label = _resolve_backend(plan, backend, max_workers)
     if plan.n_scenarios == 0:
         return
     if effective in ("serial", "vectorized"):
@@ -173,17 +182,16 @@ def stream_results(
             with tracer.span("stream.chunk", index=chunk.index,
                              backend=effective) as span:
                 work = _ChunkWork(plan, plan.chunk_scenarios(chunk), cache)
-                with use_dtype(plan.dtype):
-                    if effective == "serial":
-                        values = [
-                            pipeline.run(params, seed)
-                            for params, seed in work.items
-                        ]
-                    else:
-                        values = (
-                            pipeline.run_batch(work.items)
-                            if work.items else []
-                        )
+                if effective == "serial":
+                    values = [
+                        pipeline.run(params, seed)
+                        for params, seed in work.items
+                    ]
+                else:
+                    values = (
+                        pipeline.run_batch(work.items)
+                        if work.items else []
+                    )
                 span.set(n=len(work.scenarios),
                          cache_hits=len(work.hits))
                 merged = work.merge(values, cache)
@@ -228,8 +236,7 @@ def stream_results(
                 chunk = plan.chunk(next_submit)
                 work = _ChunkWork(plan, plan.chunk_scenarios(chunk), cache)
                 future = pool.submit(
-                    _execute_chunk, plan.pipeline_name, work.items,
-                    plan.dtype,
+                    _execute_chunk, plan.pipeline_name, work.items
                 )
                 future.add_done_callback(
                     lambda _f, index=next_submit: _completed(index)
@@ -265,7 +272,6 @@ def run_sweep_streaming(
     backend: str = "auto",
     max_workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    dtype: Optional[str] = None,
     cache: Optional[ResultCache] = None,
     sinks: Sequence[ResultSink] = (),
     progress: Optional[ProgressFn] = None,
@@ -324,7 +330,6 @@ def run_sweep_streaming(
             backend=backend,
             max_workers=max_workers,
             chunk_size=chunk_size,
-            dtype=dtype,
             cache=cache,
             sinks=sinks,
             progress=progress,
@@ -337,7 +342,6 @@ def run_sweep_streaming(
             shards=shards if shards is not None else 1,
             backend=backend,
             chunk_size=chunk_size,
-            dtype=dtype,
             cache=cache,
             sinks=sinks,
             progress=progress,
@@ -347,37 +351,16 @@ def run_sweep_streaming(
         )
     started = time.perf_counter()
     compile_before = compile_seconds()
-    if isinstance(sweep, ExecutionPlan):
-        if chunk_size is not None and chunk_size != sweep.chunk_size:
-            raise DomainError(
-                "chunk_size conflicts with the already-lowered plan; "
-                "re-lower the sweep instead"
-            )
-        if dtype is not None and dtype != sweep.dtype:
-            raise DomainError(
-                "dtype conflicts with the already-lowered plan; "
-                "re-lower the sweep instead"
-            )
-        plan = sweep
-        plan_elapsed = 0.0
-    else:
-        if chunk_size is None and backend in ("thread", "process"):
-            chunk_size = _POOLED_CHUNK_SIZE
-        plan = lower(sweep, chunk_size=chunk_size, dtype=dtype)
-        plan_elapsed = time.perf_counter() - started
-    _effective, label = _resolve_backend(plan, backend)
-    from ..tuning.profile import active_profile
-
-    profile = active_profile()
+    plan, _effective, label = _resolve_backend(
+        sweep, backend, max_workers, chunk_size
+    )
+    plan_elapsed = time.perf_counter() - started
     meta: Dict[str, Any] = {
         "pipeline": plan.pipeline_name,
         "backend": label,
         "n_scenarios": plan.n_scenarios,
         "n_chunks": plan.n_chunks,
         "chunk_size": plan.chunk_size,
-        "dtype": plan.dtype,
-        "tuned": bool(profile is not None
-                      and plan.pipeline_name in profile),
     }
     hits = misses = rows = chunks_done = 0
     execute_elapsed = sink_elapsed = 0.0

@@ -41,7 +41,7 @@ from ..compilecache import compile_seconds
 from ..errors import DomainError
 from ..telemetry import tracer
 from ..engine.cache import ResultCache
-from ..engine.plan import Chunk, ExecutionPlan, lower
+from ..engine.plan import Chunk, lower
 from ..engine.sinks import ResultSink
 from ..engine.stream import (
     ProgressFn,
@@ -132,7 +132,6 @@ def run_sweep_delta(
     backend: str = "auto",
     max_workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    dtype: Optional[str] = None,
     cache: Optional[ResultCache] = None,
     sinks: Sequence[ResultSink] = (),
     progress: Optional[ProgressFn] = None,
@@ -160,22 +159,10 @@ def run_sweep_delta(
 
     started = time.perf_counter()
     compile_before = compile_seconds()
-    if isinstance(sweep, ExecutionPlan):
-        if chunk_size is not None and chunk_size != sweep.chunk_size:
-            raise DomainError(
-                "chunk_size conflicts with the already-lowered plan; "
-                "re-lower the sweep instead"
-            )
-        if dtype is not None and dtype != sweep.dtype:
-            raise DomainError(
-                "dtype conflicts with the already-lowered plan; "
-                "re-lower the sweep instead"
-            )
-        plan = sweep
-        plan_elapsed = 0.0
-    else:
-        plan = lower(sweep, chunk_size=chunk_size, dtype=dtype)
-        plan_elapsed = time.perf_counter() - started
+    plan, _effective, label = _resolve_backend(
+        sweep, backend, max_workers, chunk_size
+    )
+    plan_elapsed = time.perf_counter() - started
     if not plan.pipeline.deterministic and plan.master_seed is None:
         raise DomainError(
             f"pipeline {plan.pipeline_name!r} is stochastic and the "
@@ -202,14 +189,12 @@ def run_sweep_delta(
         assert writer is not None
         return _delta_meta(meta, writer, layout.n_tiles)
 
-    _effective, label = _resolve_backend(plan, backend)
     meta: Dict[str, Any] = {
         "pipeline": plan.pipeline_name,
         "backend": label,
         "n_scenarios": plan.n_scenarios,
         "n_chunks": plan.n_chunks,
         "chunk_size": plan.chunk_size,
-        "dtype": plan.dtype,
     }
     # The old manifest is in memory now; remove it from disk before any
     # blob is touched.  A delta killed mid-run must read as "no store
@@ -298,7 +283,6 @@ def run_sweep_delta(
             sub_plan = lower(
                 scenarios,
                 chunk_size=min(plan.chunk_size, max(1, tile.n_scenarios)),
-                dtype=plan.dtype,
             )
             rows = []
             for chunk_results in stream_results(

@@ -312,7 +312,6 @@ class TileWriter:
                 [name, list(values)] for name, values in plan.axis_items
             ],
             "master_seed": plan.master_seed,
-            "dtype": plan.dtype,
             "n_scenarios": plan.n_scenarios,
             "plan_fingerprint": plan.fingerprint(),
             "store_fingerprint": store_fp,

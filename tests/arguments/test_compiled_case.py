@@ -8,6 +8,8 @@ and two-leg BBN fragments — and case specs round-trip through YAML
 without changing either.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,13 +293,19 @@ class TestColumnValidation:
             compiled.evaluate_sweep({"A1.p_true": [0.9, 1.4]}, 2)
 
 
+def per_node(compiled, *args, **kwargs):
+    """``evaluate_sweep`` with fusion off: every group exceeds the cap."""
+    with mock.patch("repro.arguments.compiled._FUSE_ELEMENT_CAP", 0):
+        return compiled.evaluate_sweep(*args, **kwargs)
+
+
 class TestFusedEvaluation:
     """Level-batched fused evaluation vs the per-node dispatch loop.
 
     ``evaluate_sweep`` groups sibling nodes that share an elementwise
-    model into one whole-plane call; ``fused=False`` forces the
-    original per-node loop.  The two must agree on every node for any
-    valid case and any column binding.
+    model into one whole-plane call; a zero element cap sends every
+    group down the per-node loop.  The two must agree on every node for
+    any valid case and any column binding.
     """
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -308,8 +316,8 @@ class TestFusedEvaluation:
         compiled = CompiledCase(case)
         n_scenarios = 5
         columns = random_columns(case, rng, n_scenarios)
-        fused = compiled.evaluate_sweep(columns, n_scenarios, fused=True)
-        loop = compiled.evaluate_sweep(columns, n_scenarios, fused=False)
+        fused = compiled.evaluate_sweep(columns, n_scenarios)
+        loop = per_node(compiled, columns, n_scenarios)
         assert set(fused) == set(loop)
         for identifier in fused:
             assert np.all(
@@ -323,8 +331,8 @@ class TestFusedEvaluation:
         rng = np.random.default_rng(20070629)
         case = random_case(rng)
         compiled = CompiledCase(case)
-        fused = compiled.evaluate_sweep(n_scenarios=8, fused=True)
-        loop = compiled.evaluate_sweep(n_scenarios=8, fused=False)
+        fused = compiled.evaluate_sweep(n_scenarios=8)
+        loop = per_node(compiled, n_scenarios=8)
         for identifier in fused:
             assert np.array_equal(fused[identifier], loop[identifier])
 

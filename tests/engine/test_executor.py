@@ -13,6 +13,7 @@ from repro.engine import (
     register,
     run_scenario,
     run_sweep,
+    run_sweep_streaming,
 )
 from repro.errors import DomainError
 
@@ -111,6 +112,15 @@ class TestBackendsAgree:
     def test_unknown_backend_rejected(self):
         with pytest.raises(DomainError):
             run_sweep(SURVIVAL_SWEEP, backend="gpu")
+
+    @pytest.mark.parametrize("backend,workers", [("thread", 0),
+                                                 ("process", -1)])
+    def test_workers_below_one_rejected(self, backend, workers):
+        with pytest.raises(DomainError, match="max_workers"):
+            run_sweep(SURVIVAL_SWEEP, backend=backend, max_workers=workers)
+        with pytest.raises(DomainError, match="max_workers"):
+            run_sweep_streaming(SURVIVAL_SWEEP, backend=backend,
+                                max_workers=workers)
 
 
 class TestCachingBehaviour:

@@ -211,5 +211,8 @@ class TestExplicitScenarioPlans:
         from repro.engine import run_sweep_streaming
 
         plan = lower(SWEEP, chunk_size=4)
+        assert lower(plan) is plan and lower(plan, chunk_size=4) is plan
+        with pytest.raises(DomainError):
+            lower(plan, chunk_size=5)
         with pytest.raises(DomainError):
             run_sweep_streaming(plan, chunk_size=5)

@@ -113,6 +113,30 @@ class TestStreamedEqualsCollected:
         with pytest.raises(DomainError):
             run_sweep_streaming(SURVIVAL_SWEEP, backend="gpu")
 
+    def test_one_default_chunk_rule_for_both_entry_points(self):
+        from repro.engine.plan import DEFAULT_CHUNK_SIZE
+        from repro.engine.stream import _resolve_backend
+
+        # In-process backends: DEFAULT_CHUNK_SIZE, so sweeps up to that
+        # size run as one chunk.  Pooled backends: four chunks per
+        # worker (12 scenarios over 2 workers -> chunks of 2), capped
+        # at DEFAULT_CHUNK_SIZE.
+        for backend, workers, chunk in (
+            ("vectorized", None, DEFAULT_CHUNK_SIZE),
+            ("serial", None, DEFAULT_CHUNK_SIZE),
+            ("thread", 2, 2),
+        ):
+            collected = run_sweep(SURVIVAL_SWEEP, backend=backend,
+                                  max_workers=workers).meta
+            _streamed, meta = _rows(SURVIVAL_SWEEP, backend=backend,
+                                    max_workers=workers)
+            assert collected["chunk_size"] == meta["chunk_size"] == chunk
+        big = SweepSpec(pipeline="survival_update",
+                        base=dict(SURVIVAL_SWEEP.base),
+                        grid={"demands": list(range(100_000))})
+        plan, _effective, _label = _resolve_backend(big, "process", 1)
+        assert plan.chunk_size == DEFAULT_CHUNK_SIZE
+
     @given(
         sigmas=st.lists(
             st.floats(min_value=0.5, max_value=2.0, allow_nan=False),

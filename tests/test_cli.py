@@ -108,6 +108,14 @@ class TestSweepCommand:
         assert code == 0
         assert "backend=serial" in out
 
+    def test_sweep_workers_below_one_rejected(self, capsys, tmp_path):
+        spec = self._spec_path(tmp_path)
+        for backend, workers in (("thread", "0"), ("process", "-1")):
+            assert main(["sweep", "--spec", spec, "--backend", backend,
+                         "--workers", workers]) == 2
+            err = capsys.readouterr().err
+            assert f"error: max_workers must be at least 1, got {workers}" in err
+
     def test_sweep_missing_spec_file_reports_error(self, tmp_path, capsys):
         code = main(["sweep", "--spec", str(tmp_path / "missing.yaml")])
         err = capsys.readouterr().err
@@ -297,7 +305,7 @@ class TestStreamingSweepCommand:
         out_path = tmp_path / "rows.jsonl"
         code = main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--stream", "--out", str(out_path),
+            "--out", str(out_path),
         ])
         captured = capsys.readouterr()
         assert code == 0
@@ -312,7 +320,7 @@ class TestStreamingSweepCommand:
         out_path = tmp_path / "rows.out"
         code = main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--stream", "--out", str(out_path), "--format", "csv",
+            "--out", str(out_path), "--format", "csv",
         ])
         assert code == 0
         lines = out_path.read_text().strip().splitlines()
@@ -323,14 +331,14 @@ class TestStreamingSweepCommand:
         out_path = tmp_path / "rows.csv"
         assert main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--stream", "--out", str(out_path),
+            "--out", str(out_path),
         ]) == 0
         assert "(csv)" in capsys.readouterr().out
 
     def test_stream_progress_counters_on_stderr(self, capsys, tmp_path):
         code = main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--stream", "--out", str(tmp_path / "rows.jsonl"),
+            "--out", str(tmp_path / "rows.jsonl"),
             "--progress", "--chunk-size", "2",
         ])
         captured = capsys.readouterr()
@@ -340,18 +348,33 @@ class TestStreamingSweepCommand:
 
     def test_stream_requires_out(self, capsys, tmp_path):
         assert main([
-            "sweep", "--spec", self._spec_path(tmp_path), "--stream",
+            "sweep", "--spec", self._spec_path(tmp_path), "--format", "csv",
         ]) == 2
         assert "--out" in capsys.readouterr().err
 
     def test_stream_only_flags_rejected_without_stream(
         self, capsys, tmp_path
     ):
-        assert main([
-            "sweep", "--spec", self._spec_path(tmp_path),
-            "--out", str(tmp_path / "rows.jsonl"),
-        ]) == 2
-        assert "--stream" in capsys.readouterr().err
+        spec = self._spec_path(tmp_path)
+        for flags in (["--progress"], ["--shards", "2"], ["--resume"],
+                      ["--delta"], ["--tile-scenarios", "4"]):
+            assert main(["sweep", "--spec", spec, *flags]) == 2
+            err = capsys.readouterr().err
+            assert f"{flags[0]} only applies with --out or --store" in err
+
+    def test_collect_only_flags_rejected_when_streaming(
+        self, capsys, tmp_path
+    ):
+        spec = self._spec_path(tmp_path)
+        csv_path = tmp_path / "out.csv"
+        for destination in (["--out", str(tmp_path / "rows.jsonl")],
+                            ["--store", str(tmp_path / "store")]):
+            for flags in (["--csv", str(csv_path)], ["--limit", "3"]):
+                assert main(["sweep", "--spec", spec, *destination,
+                             *flags]) == 2
+                err = capsys.readouterr().err
+                assert f"{flags[0]} only applies to collected sweeps" in err
+        assert not csv_path.exists()
 
     def test_chunk_size_honoured_without_stream(self, capsys, tmp_path):
         # --chunk-size applies to the collected path too (pooled
@@ -366,7 +389,7 @@ class TestStreamingSweepCommand:
         multi = {"sweeps": [SWEEP_SPEC, SWEEP_SPEC]}
         assert main([
             "sweep", "--spec", self._spec_path(tmp_path, multi),
-            "--stream", "--out", str(tmp_path / "rows.jsonl"),
+            "--out", str(tmp_path / "rows.jsonl"),
         ]) == 2
         assert "one sweep" in capsys.readouterr().err
 
@@ -376,7 +399,7 @@ class TestStreamingSweepCommand:
         cache_path = str(tmp_path / "cache.jsonl")
         args = [
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--stream", "--out", str(tmp_path / "rows.jsonl"),
+            "--out", str(tmp_path / "rows.jsonl"),
             "--cache", cache_path,
         ]
         assert main(args) == 0
@@ -402,7 +425,7 @@ class TestCacheCommand:
         spec.write_text(json.dumps(SWEEP_SPEC))
         cache_path = tmp_path / "cache.jsonl"
         assert main([
-            "sweep", "--spec", str(spec), "--stream",
+            "sweep", "--spec", str(spec),
             "--out", str(tmp_path / "rows.jsonl"),
             "--cache", str(cache_path),
         ]) == 0
@@ -465,7 +488,7 @@ class TestTelemetryFlags:
         trace_path = tmp_path / "sweep.trace.json"
         code = main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--stream", "--out", str(tmp_path / "rows.jsonl"),
+            "--out", str(tmp_path / "rows.jsonl"),
             "--trace", str(trace_path),
         ])
         out = capsys.readouterr().out
@@ -499,7 +522,7 @@ class TestTelemetryFlags:
     def test_metrics_flag_prints_counters(self, capsys, tmp_path):
         code = main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--stream", "--out", str(tmp_path / "rows.jsonl"),
+            "--out", str(tmp_path / "rows.jsonl"),
             "--metrics",
         ])
         out = capsys.readouterr().out
@@ -511,7 +534,7 @@ class TestTelemetryFlags:
     def test_stream_report_includes_stage_timings(self, capsys, tmp_path):
         assert main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--stream", "--out", str(tmp_path / "rows.jsonl"),
+            "--out", str(tmp_path / "rows.jsonl"),
         ]) == 0
         out = capsys.readouterr().out
         assert "stages:" in out
@@ -521,7 +544,7 @@ class TestTelemetryFlags:
     def test_progress_reports_throughput(self, capsys, tmp_path):
         assert main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--stream", "--out", str(tmp_path / "rows.jsonl"),
+            "--out", str(tmp_path / "rows.jsonl"),
             "--progress", "--chunk-size", "2",
         ]) == 0
         err = capsys.readouterr().err
@@ -537,7 +560,7 @@ class TestTelemetryCommand:
         trace_path = tmp_path / "sweep.trace.json"
         assert main([
             "sweep", "--spec", str(spec),
-            "--stream", "--out", str(tmp_path / "rows.jsonl"),
+            "--out", str(tmp_path / "rows.jsonl"),
             "--trace", str(trace_path),
         ]) == 0
         return str(trace_path)
@@ -637,7 +660,7 @@ class TestStoreCommand:
         store = tmp_path / "store"
         assert main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--stream", "--store", str(store), "--tile-scenarios", "1",
+            "--store", str(store), "--tile-scenarios", "1",
         ]) == 0
         return str(store)
 
@@ -654,7 +677,7 @@ class TestStoreCommand:
         capsys.readouterr()
         assert main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--stream", "--store", store, "--tile-scenarios", "1",
+            "--store", store, "--tile-scenarios", "1",
             "--delta",
         ]) == 0
         out = capsys.readouterr().out
@@ -664,29 +687,29 @@ class TestStoreCommand:
         spec = self._spec_path(tmp_path)
         store = str(tmp_path / "store")
         # --delta without --store
-        assert main(["sweep", "--spec", spec, "--stream",
+        assert main(["sweep", "--spec", spec,
                      "--out", str(tmp_path / "r.jsonl"), "--delta"]) == 2
         # --delta with a row sink
-        assert main(["sweep", "--spec", spec, "--stream",
+        assert main(["sweep", "--spec", spec,
                      "--store", store, "--out", str(tmp_path / "r.jsonl"),
                      "--delta"]) == 2
         # --delta under sharding
-        assert main(["sweep", "--spec", spec, "--stream",
+        assert main(["sweep", "--spec", spec,
                      "--store", store, "--delta", "--shards", "2"]) == 2
         # --tile-scenarios without --store
-        assert main(["sweep", "--spec", spec, "--stream",
+        assert main(["sweep", "--spec", spec,
                      "--out", str(tmp_path / "r.jsonl"),
                      "--tile-scenarios", "4"]) == 2
-        # streaming without any destination
-        assert main(["sweep", "--spec", spec, "--stream"]) == 2
+        # --delta without any destination
+        assert main(["sweep", "--spec", spec, "--delta"]) == 2
         capsys.readouterr()
 
     def test_store_flags_require_stream(self, capsys, tmp_path):
         assert main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--store", str(tmp_path / "store"),
+            "--tile-scenarios", "4",
         ]) == 2
-        assert "--stream" in capsys.readouterr().err
+        assert "--store" in capsys.readouterr().err
 
     def test_store_stats_output(self, capsys, tmp_path):
         store = self._materialise(tmp_path)

@@ -7,9 +7,9 @@ batched growth-model likelihood grids, the compiled whole-case engine,
 the streaming executor at million-scenario scale, the cost of the
 disabled telemetry instrumentation, the below-the-call-boundary
 optimisations — contraction-path search and fused case kernels — the
-sharded multi-process coordinator with
-crash-safe resume, and the tiled result store with content-addressed
-delta-sweeps) so performance regressions are visible.
+sharded multi-process coordinator, and the tiled result store with
+content-addressed delta-sweeps that also finish killed runs) so
+performance regressions are visible.
 """
 
 import hashlib
@@ -638,9 +638,10 @@ def test_perf_sharded_sweep_coordinator(
     change.  (b) With >=4 CPUs available it must beat the
     single-process stream by >=2.5x wall clock (skipped on smaller
     runners, where the four workers just timeshare one core).  (c) A
-    sweep killed mid-stream — torn output row, torn manifest record —
-    must resume to a byte-identical file while skipping every
-    completed chunk.
+    4-shard tile store run killed after 60 of its 100 tiles must be
+    finished by ``delta=True``, which skips exactly the 60 committed
+    tiles and executes the other 40, into a store byte-identical to an
+    uninterrupted 4-shard store.
     """
     case_file = str(
         pathlib.Path(__file__).resolve().parents[1]
@@ -693,27 +694,50 @@ def test_perf_sharded_sweep_coordinator(
             f"on {cpus} CPUs"
         )
 
-    # --- (c) kill mid-stream, resume byte-identical.
-    from repro.engine.coordinator import MANIFEST_SUFFIX
+    # --- (c) kill a sharded store run mid-stream, finish it by delta.
+    from repro.store import TileSink, TileWriter
 
-    manifest_path = str(sharded_path) + MANIFEST_SUFFIX
-    data = sharded_path.read_bytes()
-    sharded_path.write_bytes(data[: len(data) * 3 // 5 + 11])  # torn row
-    with open(manifest_path, "rb+") as handle:
-        handle.truncate(os.path.getsize(manifest_path) - 20)  # torn record
+    def store_sink(path):
+        return TileSink(str(path), tile_scenarios=16384)  # 100 tiles
 
-    resume_meta = run_sweep_sharded(
-        sweep, shards=4, chunk_size=16384,
-        sinks=(JsonlSink(str(sharded_path)),), resume=True,
+    killed_at = 60
+    committed = []
+    write_tile = TileWriter.write_tile
+
+    def dying_write_tile(self, *args, **kwargs):
+        if len(committed) == killed_at:
+            raise RuntimeError("killed mid-run")
+        committed.append(write_tile(self, *args, **kwargs))
+        return committed[-1]
+
+    killed_path = tmp_path / "killed_store"
+    with mock.patch.object(TileWriter, "write_tile", dying_write_tile):
+        try:
+            run_sweep_sharded(
+                sweep, shards=4, chunk_size=16384,
+                sinks=(store_sink(killed_path),),
+            )
+        except RuntimeError:
+            pass
+        else:
+            raise AssertionError("the sharded store run was not killed")
+    assert not (killed_path / "manifest.json").exists()
+
+    delta_meta = run_sweep_streaming(
+        sweep, chunk_size=16384, sinks=(store_sink(killed_path),),
+        delta=True,
     )
-    assert resume_meta["resumed"] is True
-    assert resume_meta["resumed_chunks"] > 0, "no completed chunks skipped"
-    assert (
-        resume_meta["rows"] + resume_meta["resumed_rows"] == 1_000_000
+    assert delta_meta["tiles_total"] == 100
+    assert delta_meta["tiles_skipped"] == killed_at, (
+        "delta did not skip exactly the committed tiles"
     )
-    assert resume_meta["rows"] < 1_000_000, "resume re-ran everything"
-    assert _sha256(sharded_path) == single_hash, (
-        "resumed output differs from an uninterrupted run"
+    assert delta_meta["tiles_executed"] == 100 - killed_at
+    whole_path = tmp_path / "whole_store"
+    run_sweep_sharded(
+        sweep, shards=4, chunk_size=16384, sinks=(store_sink(whole_path),),
+    )
+    assert _store_digest(killed_path) == _store_digest(whole_path), (
+        "killed + delta store differs from an uninterrupted run"
     )
 
     # Timing fixture rounds at 100k scenarios, as for P9.

@@ -1,4 +1,4 @@
-"""Sharded sweeps — multi-process execution with crash-safe resume.
+"""Sharded sweeps — multi-process execution, and finishing a killed run.
 
 The streaming executor's plans address every chunk deterministically
 (scenario ``i`` is mixed-radix grid arithmetic; its seed is the ``i``-th
@@ -11,9 +11,9 @@ output.  This example walks the coordinator:
 2. **dispatch** — run the sweep across 4 worker processes with
    :func:`run_sweep_sharded` and compare bytes with the single-process
    stream;
-3. **resume** — simulate a mid-sweep kill (torn output line, torn
-   manifest record) and resume: completed chunks are skipped and the
-   finished file is byte-identical to the uninterrupted run.
+3. **recover** — kill a sharded run into a tile store part-way and
+   finish it with ``delta=True``: the tiles it committed are skipped
+   and the finished store is byte-identical to an uninterrupted run.
 
 Run with::
 
@@ -22,17 +22,18 @@ Run with::
 The CLI equivalent::
 
     PYTHONPATH=src python -m repro.cli sweep \
-        --spec examples/sweep_spec.yaml --out rows.jsonl \
+        --spec examples/sweep_spec.yaml --store results_store \
         --shards 4
-    # ... killed?  Pick up where it stopped:
+    # ... killed?  Finish it: only the uncommitted tiles execute.
     PYTHONPATH=src python -m repro.cli sweep \
-        --spec examples/sweep_spec.yaml --out rows.jsonl \
-        --shards 4 --resume
+        --spec examples/sweep_spec.yaml --store results_store --delta
 """
 
 import hashlib
+import os
 import pathlib
 import tempfile
+from unittest import mock
 
 from repro.engine import (
     JsonlSink,
@@ -41,6 +42,7 @@ from repro.engine import (
     run_sweep_sharded,
     run_sweep_streaming,
 )
+from repro.store import TileSink, TileWriter
 
 case_file = str(pathlib.Path(__file__).parent / "case_confidence.yaml")
 workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro_shards_"))
@@ -87,20 +89,59 @@ assert hashlib.sha256(sharded_path.read_bytes()).hexdigest() == digest
 print("4-shard output is byte-identical to the single-process stream")
 
 # ---------------------------------------------------------------- #
-# 3. Resume: every flushed chunk was checkpointed in a manifest next
-#    to the output (sharded.jsonl.manifest).  Tear both files the way
-#    a kill -9 would, then resume: completed chunks are skipped and
-#    the final bytes still match.
+# 3. Recover: a tile store journals every tile as it commits.  Kill a
+#    sharded store run after 12 of its 20 tiles (the 13th tile write
+#    fails here, a stand-in for kill -9): it leaves no manifest, so
+#    readers refuse it, and delta=True executes only the 8 missing
+#    tiles.  The finished store matches an uninterrupted run.
 # ---------------------------------------------------------------- #
-data = sharded_path.read_bytes()
-sharded_path.write_bytes(data[: len(data) // 2 + 17])     # torn row
-manifest = workdir / "sharded.jsonl.manifest"
-manifest.write_bytes(manifest.read_bytes()[:-20])         # torn record
+def store_sink(path):
+    return TileSink(str(path), tile_scenarios=1000)        # 20 tiles
 
-resumed = run_sweep_sharded(sweep, shards=4, chunk_size=1024,
-                            sinks=(JsonlSink(str(sharded_path)),),
-                            resume=True)
-print(f"resumed: skipped {resumed['resumed_chunks']} chunks "
-      f"({resumed['resumed_rows']} rows), re-ran {resumed['rows']}")
-assert hashlib.sha256(sharded_path.read_bytes()).hexdigest() == digest
-print("resumed output is byte-identical to an uninterrupted run")
+
+def store_digest(path):
+    digest = hashlib.sha256()
+    for root, dirs, files in os.walk(path):
+        dirs.sort()
+        for name in sorted(files):
+            full = os.path.join(root, name)
+            digest.update(os.path.relpath(full, path).encode())
+            digest.update(pathlib.Path(full).read_bytes())
+    return digest.hexdigest()
+
+
+class Killed(Exception):
+    pass
+
+
+write_tile = TileWriter.write_tile
+
+
+def dying_write_tile(writer, tile, *args, **kwargs):
+    if tile.index == 12:
+        raise Killed
+    return write_tile(writer, tile, *args, **kwargs)
+
+
+killed = workdir / "killed_store"
+with mock.patch.object(TileWriter, "write_tile", dying_write_tile):
+    try:
+        run_sweep_sharded(sweep, shards=4, chunk_size=1024,
+                          sinks=(store_sink(killed),))
+    except Killed:
+        pass
+assert not (killed / "manifest.json").exists()
+print("killed after 12 of 20 tiles: no manifest, journal of "
+      f"{len((killed / 'journal.jsonl').read_text().splitlines())} tiles")
+
+finished = run_sweep_streaming(sweep, chunk_size=1024, delta=True,
+                               sinks=(store_sink(killed),))
+print(f"delta: skipped {finished['tiles_skipped']} committed tiles, "
+      f"executed {finished['tiles_executed']}")
+assert (finished["tiles_skipped"], finished["tiles_executed"]) == (12, 8)
+
+whole = workdir / "whole_store"
+run_sweep_sharded(sweep, shards=4, chunk_size=1024,
+                  sinks=(store_sink(whole),))
+assert store_digest(killed) == store_digest(whole)
+print("finished store is byte-identical to an uninterrupted 4-shard run")

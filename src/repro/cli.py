@@ -12,15 +12,17 @@ Eleven subcommands cover the library's day-one uses:
   YAML/JSON spec file (single- or multi-sweep) and tabulate or export
   the results; ``--out rows.jsonl`` and/or ``--store DIR`` stream the
   rows instead (constant memory, JSONL/CSV sinks or a tile store,
-  ``--progress`` chunk counters on stderr), and ``--cache`` keeps a
-  disk-persistent result cache;
+  ``--shards K`` worker processes, ``--progress`` chunk counters on
+  stderr), and ``--cache`` keeps a disk-persistent result cache;
 * ``cache`` — ``stats`` (with per-region hit rates and on-disk bytes)
   and ``clear`` (disk log and/or ``--regions`` for the in-process
   compile caches) for the unified caches (:mod:`repro.compilecache`);
 * ``store`` — ``stats`` and ``query`` for tiled columnar result stores
   written with ``sweep --store DIR`` (:mod:`repro.store`);
   queries slice the stored tiles directly — nothing re-executes — and
-  ``sweep --delta`` re-runs a sweep incrementally against a store;
+  ``sweep --delta`` re-runs a sweep incrementally against a store (or
+  finishes a killed ``sweep --store`` run, executing only the tiles it
+  had not committed);
 * ``telemetry`` — ``summary`` renders the span tree and self-time
   hotspots of a trace recorded with ``sweep --trace``
   (:mod:`repro.telemetry`);
@@ -44,6 +46,8 @@ Examples::
         --out rows.jsonl --progress --cache results_cache.jsonl
     repro-case sweep --spec examples/sweep_spec.yaml \
         --out rows.jsonl --trace sweep.trace.json --metrics
+    repro-case sweep --spec examples/sweep_spec.yaml \
+        --store results_store --shards 4
     repro-case sweep --spec examples/sweep_spec.yaml \
         --store results_store --delta
     repro-case store stats results_store
@@ -166,13 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--shards", type=int, default=None, metavar="K",
                          help="split the streamed sweep across K worker "
                          "processes with strictly ordered merge — output "
-                         "is bit-identical to a single-process run, and "
-                         "a JSONL --out gets a checkpoint manifest")
-    p_sweep.add_argument("--resume", action="store_true",
-                         help="resume a killed --out sweep from its "
-                         "checkpoint manifest, skipping completed chunks "
-                         "(final output is byte-identical to an "
-                         "uninterrupted run)")
+                         "is bit-identical to a single-process run")
     p_sweep.add_argument("--store", default=None, metavar="DIR",
                          help="stream rows into a tiled columnar result "
                          "store (NumPy tiles + manifest) at DIR, "
@@ -181,9 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--delta", action="store_true",
                          help="incremental re-run against --store DIR: "
                          "tiles whose content fingerprints already exist "
-                         "in the store's manifest are reused, only "
-                         "changed/missing tiles execute; the finished "
-                         "store is bit-identical to a from-scratch run")
+                         "in the store are reused, only changed/missing "
+                         "tiles execute (this also finishes a killed "
+                         "--store run); the finished store is "
+                         "bit-identical to a from-scratch run")
     p_sweep.add_argument("--tile-scenarios", type=int, default=None,
                          dest="tile_scenarios", metavar="N",
                          help="target scenarios per store tile "
@@ -413,10 +412,10 @@ def _run_sweep_streaming(args: argparse.Namespace,
                 "--delta writes only the tile store (row sinks would "
                 "re-emit every row); drop --out"
             )
-        if args.shards is not None or args.resume:
+        if args.shards is not None:
             raise ReproError(
                 "--delta runs single-process (skipped tiles make "
-                "sharding moot); drop --shards/--resume"
+                "sharding moot); drop --shards"
             )
     if args.tile_scenarios is not None and args.store is None:
         raise ReproError("--tile-scenarios only applies with --store")
@@ -427,11 +426,6 @@ def _run_sweep_streaming(args: argparse.Namespace,
         if out_format is None:
             out_format = (
                 "csv" if str(args.out).lower().endswith(".csv") else "jsonl"
-            )
-        if (args.shards is not None or args.resume) and out_format != "jsonl":
-            raise ReproError(
-                "--shards/--resume checkpoint against a JSONL --out; "
-                "use --format jsonl"
             )
         sinks.append((CsvSink if out_format == "csv" else JsonlSink)(args.out))
     if args.store is not None:
@@ -449,7 +443,6 @@ def _run_sweep_streaming(args: argparse.Namespace,
         sinks=tuple(sinks),
         progress=_StreamProgress() if args.progress else None,
         shards=args.shards,
-        resume=args.resume,
         delta=args.delta,
     )
     stages = meta.get("stage_timings", {})
@@ -458,12 +451,6 @@ def _run_sweep_streaming(args: argparse.Namespace,
         for stage in ("plan_s", "compile_s", "execute_s", "sink_s")
         if stage in stages
     )
-    resumed_note = ""
-    if meta.get("resumed"):
-        resumed_note = (
-            f" (resumed: {meta['resumed_chunks']} chunks / "
-            f"{meta['resumed_rows']} rows skipped)"
-        )
     retry_note = (
         f", {meta['retries']} worker retries" if meta.get("retries") else ""
     )
@@ -484,7 +471,7 @@ def _run_sweep_streaming(args: argparse.Namespace,
         f"{meta['rows']} rows streamed to {' + '.join(destinations)}, "
         f"pipeline={meta['pipeline']}, backend={meta['backend']}, "
         f"{meta['n_chunks']} chunks of <= {meta['chunk_size']}"
-        + resumed_note + retry_note + delta_note
+        + retry_note + delta_note
         + f", cache {meta['cache_hits']} hit / {meta['cache_misses']} miss, "
         f"{meta['elapsed_s']:.3f}s"
         + (f"\nstages: {stage_line}" if stage_line else "")
@@ -536,7 +523,6 @@ def _run_sweep(args: argparse.Namespace) -> str:
         misplaced = (("--format", args.out_format is not None),
                      ("--progress", args.progress),
                      ("--shards", args.shards is not None),
-                     ("--resume", args.resume),
                      ("--delta", args.delta),
                      ("--tile-scenarios", args.tile_scenarios is not None))
         where = "with --out or --store"

@@ -17,8 +17,9 @@ fast:
   :class:`MemorySink`) in constant memory — the million-scenario path;
 * :func:`run_sweep_sharded` (or ``run_sweep_streaming(shards=k)``) —
   the streaming path split across worker processes with strictly
-  ordered merge, checkpoint manifests and crash-safe ``resume=True``
-  (:mod:`~repro.engine.coordinator`);
+  ordered merge and worker-death retry
+  (:mod:`~repro.engine.coordinator`); a killed run written to a
+  :class:`repro.store.TileSink` is finished by ``delta=True``;
 * :class:`ResultCache` — content-keyed memoisation of finished
   scenarios, optionally disk-persistent (a region of the unified
   :mod:`repro.compilecache`);
@@ -48,7 +49,7 @@ Quickstart::
 
 from . import kernels
 from .cache import ResultCache
-from .coordinator import SweepManifest, run_sweep_sharded, shard_ranges
+from .coordinator import run_sweep_sharded
 from .executor import BACKENDS, run_scenario, run_sweep
 from .kernels import survival_sweep, survival_sweep_columns
 from .pipelines import (
@@ -60,16 +61,14 @@ from .pipelines import (
 )
 from .plan import Chunk, ExecutionPlan, PlanShard, lower
 from .results import ResultSet, ScenarioResult
-from .sinks import CsvSink, JsonlSink, MemorySink, ResultSink, truncate_torn_tail
+from .sinks import CsvSink, JsonlSink, MemorySink, ResultSink
 from .spec import ScenarioSpec, SweepSpec, canonical_key, load_sweeps
 from .stream import run_sweep_streaming, stream_results
 
 __all__ = [
     "kernels",
     "ResultCache",
-    "SweepManifest",
     "run_sweep_sharded",
-    "shard_ranges",
     "BACKENDS",
     "run_scenario",
     "run_sweep",
@@ -83,7 +82,6 @@ __all__ = [
     "MemorySink",
     "JsonlSink",
     "CsvSink",
-    "truncate_torn_tail",
     "survival_sweep",
     "survival_sweep_columns",
     "Pipeline",

@@ -49,8 +49,8 @@ __all__ = ["Chunk", "ExecutionPlan", "PlanShard", "lower",
 DEFAULT_CHUNK_SIZE = 8192
 
 #: Hashed into every fingerprint payload.  Parameter planes are always
-#: float64; the entry stays so that tile stores and checkpoint manifests
-#: written when the dtype was selectable keep matching.
+#: float64; the entry stays so that tile stores written when the dtype
+#: was selectable keep matching.
 _FINGERPRINT_DTYPE = "float64"
 
 SweepLike = Union[SweepSpec, Sequence[ScenarioSpec]]
@@ -211,7 +211,7 @@ class ExecutionPlan:
 
     def shard_chunks(self, start_chunk: int, stop_chunk: int) -> "PlanShard":
         """An arbitrary contiguous chunk range ``[start, stop)`` as a
-        sub-plan (what the coordinator uses for retry and resume)."""
+        sub-plan (what the coordinator uses for retry)."""
         return PlanShard(self, start_chunk, stop_chunk)
 
     # ------------------------------------------------------------------ #
@@ -378,9 +378,8 @@ class ExecutionPlan:
         (editing a case file changes the fingerprint).  One anchor per
         distinct value combination of the content-referencing
         parameters: sweeping ``case_file`` as a grid axis hashes every
-        file, not just the first scenario's.  Checkpoint manifests
-        store this hash; resuming against a different sweep fails
-        loudly instead of interleaving streams.
+        file, not just the first scenario's.  Tile store manifests
+        record this hash as ``plan_fingerprint``.
         """
         if self._fingerprint is not None:
             return self._fingerprint

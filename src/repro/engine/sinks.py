@@ -24,28 +24,27 @@ sink            writes                                                 memory
 :class:`CsvSink`    CSV with a header from the first chunk's columns       O(chunk)
 =============== ====================================================== ========
 
-File sinks accept a path (opened at :meth:`~ResultSink.open`, closed at
-:meth:`~ResultSink.close`) or any open text handle (left open — the
-caller owns it).  Both file sinks flush per chunk and support
-``append=True``, so a killed sweep loses at most the chunk in flight.
+File sinks accept a path (opened and truncated at
+:meth:`~ResultSink.open`, closed at :meth:`~ResultSink.close`) or any
+open text handle (left open — the caller owns it).  Both file sinks
+flush per chunk, so a killed sweep's file holds every chunk written
+before the one in flight.  Crash recovery belongs to
 :class:`repro.store.TileSink` (columnar NumPy tiles + manifest, the
-delta-sweep substrate) lives in :mod:`repro.store` and plugs into the
-same protocol.
+delta-sweep substrate): it lives in :mod:`repro.store`, plugs into the
+same protocol, and a ``delta=True`` run finishes a killed one.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import DomainError
 from ..telemetry import metrics
 from .results import ResultSet, ScenarioResult
 
-__all__ = ["ResultSink", "MemorySink", "JsonlSink", "CsvSink",
-           "truncate_torn_tail"]
+__all__ = ["ResultSink", "MemorySink", "JsonlSink", "CsvSink"]
 
 _M_SINK_ROWS = metrics.counter("sink.rows")
 _M_SINK_BYTES = metrics.counter("sink.bytes")
@@ -110,14 +109,13 @@ class _CountingWriter:
 class _FileSink(ResultSink):
     """Shared path-or-handle plumbing for the file-writing sinks."""
 
-    def __init__(self, path_or_handle, append: bool = False):
+    def __init__(self, path_or_handle):
         if path_or_handle is None:
             raise DomainError(f"{type(self).__name__} needs a path or handle")
         self._target = path_or_handle
         self._handle = None
         self._raw_handle = None
         self._owns_handle = False
-        self.append = bool(append)
         self.n_rows = 0
         self._final_bytes = 0
 
@@ -142,8 +140,7 @@ class _FileSink(ResultSink):
         else:
             try:
                 self._raw_handle = open(
-                    self._target, "a" if self.append else "w",
-                    encoding="utf-8", newline=""
+                    self._target, "w", encoding="utf-8", newline=""
                 )
             except OSError as exc:
                 raise DomainError(
@@ -157,15 +154,6 @@ class _FileSink(ResultSink):
         most the chunk being written, never flushed ones)."""
         if self._handle is not None:
             self._handle.flush()
-
-    def tell(self) -> Optional[int]:
-        """Absolute byte offset in the underlying file, if seekable."""
-        if self._raw_handle is None:
-            return None
-        try:
-            return self._raw_handle.tell()
-        except (OSError, ValueError):
-            return None
 
     def close(self) -> None:
         if self._handle is not None:
@@ -181,11 +169,10 @@ class JsonlSink(_FileSink):
 
     Rows appear in scenario order, one per line, **flushed after every
     chunk** — so a killed sweep's output ends at a chunk boundary plus
-    at most one torn line, which :func:`truncate_torn_tail` repairs on
-    resume.  The natural format for out-of-core post-processing
-    (``jq``, pandas ``read_json(lines=True)``, another sweep's warm
-    start).  The encoding is deterministic (sorted specs, compact
-    separators), so chunk-aligned appends reproduce an uninterrupted
+    at most one torn line.  The natural format for out-of-core
+    post-processing (``jq``, pandas ``read_json(lines=True)``, another
+    sweep's warm start).  The encoding is deterministic (sorted specs,
+    compact separators), so sharded runs reproduce a single-process
     run byte for byte.
     """
 
@@ -231,41 +218,20 @@ class CsvSink(_FileSink):
     different node sets) belong in :class:`JsonlSink`.  Rows *missing* a
     header column write it empty, matching ``ResultSet.to_csv``.
 
-    Crash tolerance matches :class:`JsonlSink`: every chunk is
-    **flushed** when written, so a killed sweep's file ends at a chunk
-    boundary plus at most one torn row (repairable with
-    :func:`truncate_torn_tail`), and ``append=True`` continues an
-    existing file — the header already on disk fixes the column
-    layout, and no second header is emitted.
+    Like :class:`JsonlSink`, every chunk is **flushed** when written,
+    so a killed sweep's file ends at a chunk boundary plus at most one
+    torn row.
     """
 
-    def __init__(self, path_or_handle, append: bool = False):
-        super().__init__(path_or_handle, append=append)
+    def __init__(self, path_or_handle):
+        super().__init__(path_or_handle)
         self._writer = None
         self._columns = None
 
     def open(self, plan) -> None:
-        if self.append and self.path is None:
-            raise DomainError(
-                "CsvSink(append=True) needs a file path: the existing "
-                "header must be re-read to fix the column layout"
-            )
-        header: Optional[List[str]] = None
-        if self.append and self.path is not None:
-            try:
-                with open(self.path, "r", encoding="utf-8",
-                          newline="") as handle:
-                    header = next(csv.reader(handle), None) or None
-            except OSError:
-                header = None
         super().open(plan)
         self._writer = None
         self._columns = None
-        if header is not None:
-            self._columns = frozenset(header)
-            self._writer = csv.DictWriter(
-                self._handle, fieldnames=header, restval=""
-            )
 
     def write(self, results: Sequence[ScenarioResult]) -> None:
         if self._writer is None:
@@ -289,44 +255,3 @@ class CsvSink(_FileSink):
             self.n_rows += 1
         self.flush()
         _M_SINK_ROWS.add(len(results))
-
-
-def truncate_torn_tail(path) -> int:
-    """Drop a line-oriented file's torn final line; return bytes removed.
-
-    A process killed mid-``write`` leaves at most one partial line at
-    the end of a flushed-per-chunk JSONL file (or checkpoint manifest).
-    If the file does not end in a newline, everything after the last
-    newline is truncated away — to the whole file if no newline exists.
-    A missing file or one already ending in a newline is left alone.
-    """
-    try:
-        with open(path, "rb+") as handle:
-            handle.seek(0, os.SEEK_END)
-            size = handle.tell()
-            if size == 0:
-                return 0
-            handle.seek(size - 1)
-            if handle.read(1) == b"\n":
-                return 0
-            # Scan backwards block by block for the last newline.
-            keep = 0
-            position = size - 1
-            block = 65536
-            while position > 0:
-                start = max(0, position - block)
-                handle.seek(start)
-                data = handle.read(position - start)
-                newline = data.rfind(b"\n")
-                if newline != -1:
-                    keep = start + newline + 1
-                    break
-                position = start
-            handle.truncate(keep)
-            return size - keep
-    except FileNotFoundError:
-        return 0
-    except OSError as exc:
-        raise DomainError(
-            f"cannot repair torn tail of {path}: {exc}"
-        ) from exc

@@ -276,8 +276,6 @@ def run_sweep_streaming(
     sinks: Sequence[ResultSink] = (),
     progress: Optional[ProgressFn] = None,
     shards: Optional[int] = None,
-    resume: bool = False,
-    manifest_path: Optional[str] = None,
     max_retries: int = 2,
     delta: bool = False,
 ) -> Dict[str, Any]:
@@ -291,19 +289,19 @@ def run_sweep_streaming(
     given) is called after each chunk as ``progress(done_chunks,
     n_chunks, done_scenarios, n_scenarios)``.
 
-    ``shards=k`` (or ``resume=True``) hands the sweep to the
+    ``shards=k`` hands the sweep to the
     :mod:`~repro.engine.coordinator`: the plan is split into ``k``
-    disjoint chunk ranges run in worker *processes*, merged through the
-    same sinks in the same order — bit-identical output, and (with a
-    path-backed :class:`JsonlSink`) checkpointed so a killed sweep
-    resumes mid-stream via ``resume=True``.  ``max_retries`` bounds
+    disjoint chunk ranges, each run in one worker *process* (so
+    ``max_workers`` does not apply), and merged through the same sinks
+    in the same order — bit-identical output.  ``max_retries`` bounds
     worker-death respawns per shard.
 
     ``delta=True`` hands the sweep to
     :func:`repro.store.delta.run_sweep_delta`: ``sinks`` must be
     exactly one :class:`~repro.store.TileSink`, and only the tiles
-    whose content fingerprints are absent from the store's manifest
-    are executed — the finished store is bit-identical to a full run.
+    whose content fingerprints are absent from the store's manifest —
+    or, after a killed run, from its journal of committed tiles — are
+    executed; the finished store is bit-identical to a full run.
 
     Returns the run's meta summary: pipeline, backend, scenario/chunk
     counts, cache hit/miss totals, rows written, elapsed seconds, and a
@@ -317,10 +315,10 @@ def run_sweep_streaming(
     same seeds — for every backend, chunk size and shard count.
     """
     if delta:
-        if shards is not None or resume:
+        if shards is not None:
             raise DomainError(
                 "delta sweeps run single-process (skipped tiles make "
-                "sharding moot); drop shards/resume"
+                "sharding moot); drop shards"
             )
         # Imported lazily: repro.store builds on this module.
         from ..store.delta import run_sweep_delta
@@ -334,19 +332,22 @@ def run_sweep_streaming(
             sinks=sinks,
             progress=progress,
         )
-    if shards is not None or resume:
+    if shards is not None:
+        if max_workers is not None:
+            raise DomainError(
+                "max_workers does not apply to sharded runs: each shard "
+                "runs in one worker process; set shards instead"
+            )
         from .coordinator import run_sweep_sharded
 
         return run_sweep_sharded(
             sweep,
-            shards=shards if shards is not None else 1,
+            shards=shards,
             backend=backend,
             chunk_size=chunk_size,
             cache=cache,
             sinks=sinks,
             progress=progress,
-            resume=resume,
-            manifest_path=manifest_path,
             max_retries=max_retries,
         )
     started = time.perf_counter()

@@ -9,7 +9,8 @@ it back with :class:`TileStore` slice queries, and re-run sweeps
 incrementally with ``run_sweep_streaming(delta=True)`` /
 :func:`run_sweep_delta` — unchanged tiles are adopted by content
 fingerprint instead of recomputed, and the result is bit-identical to
-a from-scratch run.
+a from-scratch run.  The same delta finishes a run that was killed
+mid-write: the store's journal names the tiles it had committed.
 """
 
 from .delta import run_sweep_delta

@@ -1,10 +1,11 @@
 """Delta-sweep execution: only compute the tiles whose inputs changed.
 
 :func:`run_sweep_delta` re-runs a sweep **against an existing tile
-store**.  It lowers the sweep, tiles the new plan, and diffs each
-tile's content fingerprint (:meth:`ExecutionPlan.region_fingerprint`:
-spec + axis windows + seed window + referenced-file content) against
-the store's manifest:
+store** — a finished one (its manifest), or a killed run's partial one
+(its journal of committed tiles).  It lowers the sweep, tiles the new
+plan, and diffs each tile's content fingerprint
+(:meth:`ExecutionPlan.region_fingerprint`: spec + axis windows + seed
+window + referenced-file content) against those records:
 
 * **skipped** — the tile at the same index has the same fingerprint;
   its blobs are adopted with zero I/O beyond a size check;
@@ -21,7 +22,9 @@ Because reused blobs were themselves produced by a run of a
 fingerprint-identical region, and executed tiles run the same kernels
 on the same scenarios with the same seeds, the finished store is
 **bit-identical to a from-scratch run by construction** — the P13 gate
-compares the two directories file by file.
+compares the two directories file by file.  The same triage finishes a
+killed run (full, sharded or itself a delta): its committed tiles are
+skipped and only the rest execute.
 
 Unseeded *non-deterministic* sweeps are rejected: their rows are not a
 function of the fingerprint, so "skip what matched" would silently
@@ -49,7 +52,14 @@ from ..engine.stream import (
     run_sweep_streaming,
     stream_results,
 )
-from .format import TILES_DIR, manifest_path, read_manifest, tile_dirname
+from .format import (
+    TILES_DIR,
+    append_journal,
+    manifest_path,
+    read_journal,
+    read_manifest,
+    tile_dirname,
+)
 from .layout import Tile, TileLayout
 from .sink import TileSink, TileWriter
 
@@ -67,6 +77,19 @@ def _delta_meta(meta: Dict[str, Any], writer: TileWriter,
     meta["bytes_written"] = writer.bytes_written
     meta["bytes_reused"] = writer.bytes_reused
     return meta
+
+
+def _previous_generation(store_path: str) -> List[Dict[str, Any]]:
+    """Tile records a delta may reuse: the manifest's, else the journal
+    of a killed run (its committed tiles), else none."""
+    try:
+        return read_manifest(store_path).get("tiles", [])
+    except DomainError:
+        pass
+    try:
+        return read_journal(store_path)
+    except DomainError:
+        return []
 
 
 #: Staging directory for moved tiles, inside the store (same
@@ -139,15 +162,16 @@ def run_sweep_delta(
     """Incrementally (re-)materialise a sweep's tile store.
 
     ``sinks`` must be exactly one :class:`~repro.store.sink.TileSink`
-    — delta semantics are defined by the store's manifest, and row
+    — delta semantics are defined by the store's tile records, and row
     sinks would have to re-emit every row anyway (use a full run for
-    those).  With no manifest at the sink's path this degrades to an
-    ordinary full streaming run.  An existing manifest is *consumed*
-    (removed from disk) as soon as it is read, before any blob is
-    touched: a delta killed mid-run therefore reads as "no store
-    here", never as a readable mix of old and new generations.
-    Returns the streaming meta dict extended with
-    ``delta``/``tiles_*``/``bytes_*`` accounting.
+    those).  The previous generation is the manifest at the sink's
+    path or, without one, the journal a killed run left; with neither
+    this degrades to an ordinary full streaming run.  Both are
+    *consumed* (the manifest removed, the journal restarted) as soon
+    as they are read, before any blob is touched: a delta killed
+    mid-run is never readable as a mix of generations, and its own
+    journal lets the next delta finish it.  Returns the streaming meta
+    dict extended with ``delta``/``tiles_*``/``bytes_*`` accounting.
     """
     sinks = tuple(sinks)
     if len(sinks) != 1 or not isinstance(sinks[0], TileSink):
@@ -176,11 +200,8 @@ def run_sweep_delta(
         tile_scenarios=sink.tile_scenarios,
         tile_shape=sink.tile_shape,
     )
-    try:
-        old = read_manifest(sink.path)
-    except DomainError:
-        old = None
-    if old is None:
+    old_records = _previous_generation(sink.path)
+    if not old_records:
         meta = run_sweep_streaming(
             plan, backend=backend, max_workers=max_workers,
             cache=cache, sinks=(sink,), progress=progress,
@@ -196,22 +217,21 @@ def run_sweep_delta(
         "n_chunks": plan.n_chunks,
         "chunk_size": plan.chunk_size,
     }
-    # The old manifest is in memory now; remove it from disk before any
-    # blob is touched.  A delta killed mid-run must read as "no store
-    # here" (like an interrupted full run) — were the manifest left in
-    # place, readers would silently serve a mix of generations, and a
-    # later delta would stamp the old hashes onto the new bytes.
+    # The old records are in memory now; restart the journal and remove
+    # the manifest before any blob is touched.  Were the manifest left
+    # in place, readers would silently serve a mix of generations, and
+    # a later delta would stamp the old hashes onto the new bytes.
+    writer = TileWriter(sink.path, layout)
     try:
         os.remove(manifest_path(sink.path))
     except OSError:
         pass
-    writer = TileWriter(sink.path, layout)
 
     old_by_index: Dict[int, Dict[str, Any]] = {
-        record["index"]: record for record in old.get("tiles", [])
+        record["index"]: record for record in old_records
     }
     old_by_fp: Dict[str, Dict[str, Any]] = {}
-    for record in old.get("tiles", []):
+    for record in old_records:
         old_by_fp.setdefault(record["fingerprint"], record)
 
     execute_elapsed = sink_elapsed = 0.0
@@ -241,6 +261,7 @@ def run_sweep_delta(
         shutil.rmtree(stage_dir, ignore_errors=True)  # a crashed delta's
         if moved:
             os.makedirs(stage_dir, exist_ok=True)
+        reused: List[Dict[str, Any]] = []
         try:
             move_staged = _stage_move_sources(sink.path, moved, stage_dir)
             for tile, fp, record in moved:
@@ -252,8 +273,9 @@ def run_sweep_delta(
                     sink.path, TILES_DIR, tile_dirname(record["index"])
                 )
                 try:
-                    writer.reuse_tile(tile, fp, record, source_dir,
-                                      staged=staged)
+                    reused.append(writer.reuse_tile(
+                        tile, fp, record, source_dir, staged=staged
+                    ))
                 except DomainError:
                     pending.append((tile, fp))
         finally:
@@ -261,9 +283,13 @@ def run_sweep_delta(
         for tile, fp, record in skipped:
             source_dir = writer.tile_dir(tile.index)
             try:
-                writer.reuse_tile(tile, fp, record, source_dir)
+                reused.append(
+                    writer.reuse_tile(tile, fp, record, source_dir)
+                )
             except DomainError:
                 pending.append((tile, fp))
+        # Every reused tile's blobs are in place now: one journal batch.
+        append_journal(sink.path, reused)
 
         pending.sort(key=lambda item: item[0].index)
         done_tiles = layout.n_tiles - len(pending)

@@ -4,6 +4,7 @@ Layout on disk::
 
     store/
       manifest.json          # plan identity + per-tile records
+      journal.jsonl          # only while a run is writing (see below)
       tiles/
         000000/
           confidence.npy     # one .npy blob per value column per tile
@@ -18,6 +19,13 @@ no timestamps.  That is a correctness requirement, not tidiness — the
 delta executor promises that an incremental store is *bit-identical*
 to a from-scratch run, so every byte must be a function of the sweep
 alone.
+
+The manifest is the store's single commit point.  While a run writes,
+``journal.jsonl`` holds one line per tile whose blobs are in place —
+the same record that lands in ``manifest["tiles"]`` — and the finished
+run removes it.  A killed run therefore leaves blobs and a journal but
+no manifest: readers refuse it, and ``delta=True`` takes the journal's
+records as the previous generation and executes only the rest.
 """
 
 from __future__ import annotations
@@ -34,12 +42,14 @@ import numpy as np
 from ..errors import DomainError
 
 __all__ = [
-    "MANIFEST_NAME", "TILES_DIR", "STORE_FORMAT", "STORE_VERSION",
-    "column_filename", "column_array", "encode_blob", "decode_blob",
-    "tile_dirname", "write_atomic", "read_manifest", "write_manifest",
+    "MANIFEST_NAME", "JOURNAL_NAME", "TILES_DIR", "STORE_FORMAT",
+    "STORE_VERSION", "column_filename", "column_array", "encode_blob",
+    "decode_blob", "tile_dirname", "write_atomic", "read_manifest",
+    "write_manifest", "append_journal", "read_journal",
 ]
 
 MANIFEST_NAME = "manifest.json"
+JOURNAL_NAME = "journal.jsonl"
 TILES_DIR = "tiles"
 STORE_FORMAT = "repro-tile-store"
 STORE_VERSION = 1
@@ -204,3 +214,48 @@ def write_manifest(store_path: str, manifest: Dict[str, Any]) -> None:
     blob = json.dumps(manifest, sort_keys=True, indent=1)
     write_atomic(manifest_path(store_path), (blob + "\n").encode("utf-8"),
                  durable=True)
+
+
+def journal_path(store_path: str) -> str:
+    return os.path.join(store_path, JOURNAL_NAME)
+
+
+def append_journal(
+    store_path: str, records: Sequence[Dict[str, Any]]
+) -> None:
+    """Append one line per tile record; call once the blobs are in place.
+
+    Lines are flushed, not fsynced: a lost line only re-executes its
+    tile, and the manifest stays the durable commit point.
+    """
+    lines = "".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        for record in records
+    )
+    with open(journal_path(store_path), "a", encoding="utf-8") as handle:
+        handle.write(lines)
+
+
+def read_journal(store_path: str) -> List[Dict[str, Any]]:
+    """Tile records a killed run committed, in commit order.
+
+    Only newline-terminated lines count: a torn last line — the append
+    the process died in — is dropped, so its tile re-executes.  No
+    journal reads as no records.
+    """
+    path = journal_path(store_path)
+    try:
+        with open(path, "rb") as handle:
+            lines = handle.read().split(b"\n")[:-1]
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+    except OSError as exc:
+        raise DomainError(
+            f"unreadable tile store journal {path!r}: {exc}"
+        ) from None
+    try:
+        return [json.loads(line) for line in lines]
+    except ValueError as exc:
+        raise DomainError(
+            f"corrupt tile store journal {path!r}: {exc}"
+        ) from None

@@ -1,9 +1,12 @@
 """Tile store writer: the ``TileWriter`` core and the ``TileSink``.
 
 :class:`TileWriter` owns the on-disk store during one run — it encodes
-tiles to ``.npy`` blobs, accounts bytes, and finalises the manifest
-(pruning any blobs a previous store version left behind).  Both entry
-points share it:
+tiles to ``.npy`` blobs, journals each tile as it commits, accounts
+bytes, and finalises the manifest (pruning any blobs a previous store
+version left behind, and removing the journal).  A run killed before
+:meth:`TileWriter.finalise` leaves no manifest, so readers refuse the
+directory, but its journal names every committed tile, so
+``delta=True`` finishes the run.  Both entry points share the writer:
 
 * :class:`TileSink` adapts it to the streaming executor's
   :class:`~repro.engine.sinks.ResultSink` protocol, cutting tiles off
@@ -34,9 +37,11 @@ from .format import (
     STORE_FORMAT,
     STORE_VERSION,
     TILES_DIR,
+    append_journal,
     column_array,
     column_filenames,
     encode_blob,
+    journal_path,
     tile_dirname,
     write_atomic,
     write_manifest,
@@ -54,7 +59,13 @@ _M_BYTES_REUSED = metrics.counter("store.bytes_reused")
 
 
 class TileWriter:
-    """Writes one store generation: tiles in, manifest out."""
+    """Writes one store generation: tiles in, manifest out.
+
+    The journal starts empty; each tile's record is appended once its
+    blobs are in place (:meth:`write_tile` does so itself; callers of
+    :meth:`reuse_tile` pass its records to
+    :func:`~repro.store.format.append_journal`).
+    """
 
     def __init__(self, path: str, layout: TileLayout):
         self._path = str(path)
@@ -69,7 +80,13 @@ class TileWriter:
         self.rows_written = 0
         self.bytes_written = 0
         self.bytes_reused = 0
-        os.makedirs(os.path.join(self._path, TILES_DIR), exist_ok=True)
+        try:
+            os.makedirs(os.path.join(self._path, TILES_DIR), exist_ok=True)
+            open(journal_path(self._path), "w").close()
+        except OSError as exc:
+            raise DomainError(
+                f"cannot write a tile store at {self._path!r}: {exc}"
+            ) from None
 
     @property
     def path(self) -> str:
@@ -149,6 +166,7 @@ class TileWriter:
             span.set(tile=tile.index, rows=len(rows))
         record = self._record(tile, fingerprint, columns)
         self._records[tile.index] = record
+        append_journal(self._path, [record])
         self.tiles_written += 1
         self.rows_written += len(rows)
         _M_TILES_WRITTEN.add()
@@ -176,7 +194,9 @@ class TileWriter:
         move).  Each staged file is consumed (renamed away) on use.
         Returns the new record, or raises :class:`DomainError` if a
         blob is missing or its size disagrees with the old record —
-        callers treat that as "execute the tile instead".
+        callers treat that as "execute the tile instead".  The record
+        is not journaled: pass it to
+        :func:`~repro.store.format.append_journal`.
         """
         self._bind_columns(list(old_record["columns"]))
         assert self._columns is not None
@@ -257,7 +277,8 @@ class TileWriter:
     # ------------------------------------------------------------------ #
 
     def finalise(self) -> Dict[str, Any]:
-        """Write the manifest and prune unreferenced blobs.
+        """Write the manifest, remove the journal, prune unreferenced
+        blobs.
 
         Requires every tile of the layout to have been written or
         reused; a partial store never gets a manifest (readers refuse
@@ -321,6 +342,7 @@ class TileWriter:
         }
         with tracer.span("store.finalise") as span:
             write_manifest(self._path, manifest)
+            os.remove(journal_path(self._path))
             self._prune(records)
             span.set(tiles=len(records), bytes=self.bytes_written)
         return manifest
@@ -369,8 +391,9 @@ class TileSink(ResultSink):
     both guarantee it), so the sink holds at most one tile plus one
     chunk of rows in memory before flushing blobs to disk.  The
     manifest is written by :meth:`close` only after the final tile —
-    an interrupted run leaves blobs but no manifest, which readers and
-    delta runs treat as "no store here".
+    an interrupted run leaves blobs and a journal of its committed
+    tiles but no manifest: readers refuse it, a ``delta=True`` run
+    executes only the uncommitted tiles, and a full run starts afresh.
     """
 
     def __init__(

@@ -10,13 +10,12 @@ The load-bearing guarantees:
   byte-for-byte the single-process JSONL stream, for deterministic and
   sampling pipelines alike.
 * **Crash tolerance** — a worker that dies mid-shard is replaced
-  (bounded retry) with no lost or duplicated rows; a killed sweep
-  resumed with ``resume=True`` skips completed chunks and produces a
-  byte-identical file.  Pipeline *errors* propagate immediately.
+  (bounded retry) with no lost or duplicated rows.  Pipeline *errors*
+  propagate immediately.  (A killed coordinator is finished through
+  the tile store's journal; see ``tests/store/test_journal.py``.)
 """
 
 import hashlib
-import json
 import os
 import pickle
 
@@ -28,17 +27,13 @@ from repro.engine import (
     JsonlSink,
     MemorySink,
     Pipeline,
-    SweepManifest,
     SweepSpec,
     lower,
     register,
     run_sweep_sharded,
     run_sweep_streaming,
-    shard_ranges,
     stream_results,
-    truncate_torn_tail,
 )
-from repro.engine.coordinator import MANIFEST_SUFFIX
 from repro.engine.plan import PlanShard
 from repro.errors import DomainError
 
@@ -111,6 +106,15 @@ register(_AlwaysCrashPipeline())
 register(_BoomPipeline())
 
 
+def _demands_sweep(n):
+    """A survival sweep of ``n`` scenarios (one chunk each at size 1)."""
+    return SweepSpec(
+        pipeline="survival_update",
+        base={"mode": 0.003, "sigma": 0.9, "bound": 1e-2},
+        grid={"demands": list(range(n))},
+    )
+
+
 def _file_hash(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
@@ -123,37 +127,15 @@ def _reference_file(sweep, path, chunk_size=None):
 
 
 class TestShardRanges:
-    def test_cover_exactly_in_order(self):
-        assert shard_ranges(0, 10, 3) == [(0, 3), (3, 6), (6, 10)]
-        assert shard_ranges(4, 10, 2) == [(4, 7), (7, 10)]
-
-    def test_more_shards_than_chunks_gives_empty_ranges(self):
-        ranges = shard_ranges(0, 2, 5)
-        assert [stop - start for start, stop in ranges].count(1) == 2
-        assert ranges[0] == (0, 0) or ranges[-1][1] == 2
-        # Still a partition: contiguous and covering.
-        for (a, b), (c, d) in zip(ranges, ranges[1:]):
-            assert b == c
-        assert ranges[0][0] == 0 and ranges[-1][1] == 2
+    """Shard chunk ranges come from ``ExecutionPlan.shard``; the
+    partition cases live in ``TestPlanShard``."""
 
     def test_invalid_count_rejected(self):
+        plan = lower(SURVIVAL_SWEEP, chunk_size=5)
         with pytest.raises(DomainError):
-            shard_ranges(0, 10, 0)
-
-    @given(
-        span=st.integers(min_value=0, max_value=500),
-        start=st.integers(min_value=0, max_value=100),
-        count=st.integers(min_value=1, max_value=20),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_property_partition(self, span, start, count):
-        ranges = shard_ranges(start, start + span, count)
-        assert len(ranges) == count
-        assert ranges[0][0] == start and ranges[-1][1] == start + span
-        for (a, b), (c, d) in zip(ranges, ranges[1:]):
-            assert a <= b == c <= d
-        widths = [b - a for a, b in ranges]
-        assert max(widths) - min(widths) <= 1
+            plan.shard(0, 0)
+        with pytest.raises(DomainError):
+            plan.shard(0, -2)
 
 
 class TestPlanShard:
@@ -188,6 +170,34 @@ class TestPlanShard:
         # The shard's view of a chunk is the parent's chunk, verbatim.
         for chunk in shard.chunks():
             assert chunk == plan.chunk(chunk.index)
+
+    def test_shards_split_chunks_contiguously(self):
+        plan = lower(_demands_sweep(10), chunk_size=1)
+        assert [
+            (shard.start_chunk, shard.stop_chunk)
+            for shard in (plan.shard(i, 3) for i in range(3))
+        ] == [(0, 3), (3, 6), (6, 10)]
+
+    def test_more_shards_than_chunks_gives_empty_shards(self):
+        plan = lower(SURVIVAL_SWEEP, chunk_size=6)  # 2 chunks
+        shards = [plan.shard(i, 5) for i in range(5)]
+        assert sorted(shard.n_chunks for shard in shards) == [0, 0, 0, 1, 1]
+        assert shards[0].start_chunk == 0 and shards[-1].stop_chunk == 2
+
+    @given(
+        n_chunks=st.integers(min_value=1, max_value=500),
+        count=st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_property_shards_partition_near_equally(self, n_chunks, count):
+        plan = lower(_demands_sweep(n_chunks), chunk_size=1)
+        shards = [plan.shard(i, count) for i in range(count)]
+        assert shards[0].start_chunk == 0
+        assert shards[-1].stop_chunk == n_chunks
+        for left, right in zip(shards, shards[1:]):
+            assert left.stop_chunk == right.start_chunk
+        widths = [shard.n_chunks for shard in shards]
+        assert max(widths) - min(widths) <= 1
 
     def test_seeded_shards_carry_the_absolute_seed_window(self):
         plan = lower(PANEL_SWEEP, chunk_size=3)
@@ -297,7 +307,7 @@ class TestShardedRuns:
         assert meta["shards"] == shards
         assert meta["retries"] == 0
         assert meta["backend"].startswith(f"shards({shards}):")
-        assert os.path.exists(str(out) + MANIFEST_SUFFIX)
+        assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "ref.jsonl"]
 
     def test_sampling_pipeline_bit_identical_across_processes(
         self, tmp_path
@@ -353,6 +363,15 @@ class TestShardedRuns:
         with pytest.raises(DomainError):
             run_sweep_sharded(SURVIVAL_SWEEP, shards=0)
 
+    def test_max_workers_rejected_with_shards(self):
+        # One worker process per shard: a worker count would be
+        # silently dropped, so it is refused.
+        with pytest.raises(DomainError, match="max_workers"):
+            run_sweep_streaming(
+                SURVIVAL_SWEEP, shards=2, max_workers=7,
+                sinks=(MemorySink(),),
+            )
+
 
 class TestWorkerDeath:
     def _sweep(self, flag, crash_at=7):
@@ -406,158 +425,3 @@ class TestWorkerDeath:
                 sweep, shards=2, chunk_size=2, sinks=(MemorySink(),)
             )
         assert "boom from worker" in str(excinfo.value)
-
-
-class TestResume:
-    def _run(self, tmp_path, name="out.jsonl", **kwargs):
-        out = tmp_path / name
-        meta = run_sweep_sharded(
-            PANEL_SWEEP, chunk_size=2, sinks=(JsonlSink(str(out)),),
-            **kwargs,
-        )
-        return out, meta
-
-    def test_killed_sweep_resumes_byte_identical(self, tmp_path):
-        reference = _reference_file(
-            PANEL_SWEEP, tmp_path / "ref.jsonl", chunk_size=2
-        )
-        out, _meta = self._run(tmp_path, shards=2)
-        manifest_path = str(out) + MANIFEST_SUFFIX
-
-        # Simulate a kill -9 mid-write: the output ends in a torn row
-        # and the manifest in a torn record.
-        data = out.read_bytes()
-        out.write_bytes(data[: len(data) * 2 // 3 + 7])
-        manifest_bytes = open(manifest_path, "rb").read()
-        open(manifest_path, "wb").write(manifest_bytes[:-25])
-
-        out2, meta = self._run(tmp_path, shards=2, resume=True)
-        assert out2 == out
-        assert meta["resumed"] is True
-        assert meta["resumed_chunks"] > 0
-        assert meta["rows"] + meta["resumed_rows"] == 10
-        assert _file_hash(out) == reference
-
-    def test_resume_of_a_complete_sweep_reruns_nothing(self, tmp_path):
-        reference = _reference_file(
-            PANEL_SWEEP, tmp_path / "ref.jsonl", chunk_size=2
-        )
-        out, _ = self._run(tmp_path, shards=2)
-        out2, meta = self._run(tmp_path, shards=2, resume=True)
-        assert meta["rows"] == 0
-        assert meta["resumed_chunks"] == 5
-        assert _file_hash(out2) == reference
-
-    def test_resume_with_no_prior_state_starts_fresh(self, tmp_path):
-        reference = _reference_file(
-            PANEL_SWEEP, tmp_path / "ref.jsonl", chunk_size=2
-        )
-        out, meta = self._run(tmp_path, shards=2, resume=True)
-        assert meta["resumed"] is False
-        assert _file_hash(out) == reference
-
-    def test_lost_output_never_trusts_the_manifest(self, tmp_path):
-        # Manifest says N chunks done but the file is shorter (lost
-        # writes): resume must fall back to what is really on disk.
-        reference = _reference_file(
-            PANEL_SWEEP, tmp_path / "ref.jsonl", chunk_size=2
-        )
-        out, _ = self._run(tmp_path, shards=2)
-        data = out.read_bytes()
-        out.write_bytes(data[: len(data) // 4])
-        out2, meta = self._run(tmp_path, shards=2, resume=True)
-        assert _file_hash(out2) == reference
-        assert meta["rows"] > 0
-
-    def test_fingerprint_mismatch_is_refused(self, tmp_path):
-        out, _ = self._run(tmp_path, shards=2)
-        other = SweepSpec(
-            pipeline="panel_run",
-            grid={"n_doubters": [0, 1, 2, 3, 4],
-                  "pool": ["linear", "log"]},
-            seed=43,  # different master seed, same shape
-        )
-        with pytest.raises(DomainError) as excinfo:
-            run_sweep_sharded(
-                other, shards=2, chunk_size=2,
-                sinks=(JsonlSink(str(out)),), resume=True,
-            )
-        assert "fingerprint" in str(excinfo.value)
-
-    def test_resume_requires_a_path_backed_jsonl_sink(self):
-        with pytest.raises(DomainError):
-            run_sweep_sharded(
-                PANEL_SWEEP, resume=True, sinks=(MemorySink(),)
-            )
-
-
-class TestManifest:
-    def test_load_tolerates_a_torn_tail(self, tmp_path):
-        path = tmp_path / "m.manifest"
-        lines = [
-            json.dumps({"kind": "header", "version": 1,
-                        "fingerprint": "abc"}),
-            json.dumps({"kind": "chunk", "index": 0, "rows": 4,
-                        "bytes": 100}),
-            json.dumps({"kind": "chunk", "index": 1, "rows": 4,
-                        "bytes": 200}),
-            '{"kind":"chunk","ind',  # torn by the kill
-        ]
-        path.write_text("\n".join(lines))
-        manifest = SweepManifest.load(path)
-        assert manifest is not None
-        assert manifest.completed_prefix() == 2
-        assert manifest.chunk_offset(2) == 200
-        assert manifest.chunk_offset(0) == 0
-
-    def test_gap_limits_the_trusted_prefix(self, tmp_path):
-        path = tmp_path / "m.manifest"
-        records = [
-            {"kind": "header", "version": 1, "fingerprint": "abc"},
-            {"kind": "chunk", "index": 0, "rows": 4, "bytes": 100},
-            {"kind": "chunk", "index": 2, "rows": 4, "bytes": 300},
-        ]
-        path.write_text(
-            "\n".join(json.dumps(r) for r in records) + "\n"
-        )
-        manifest = SweepManifest.load(path)
-        assert manifest.completed_prefix() == 1
-
-    def test_missing_or_headerless_is_none(self, tmp_path):
-        assert SweepManifest.load(tmp_path / "absent") is None
-        empty = tmp_path / "empty.manifest"
-        empty.write_text("")
-        assert SweepManifest.load(empty) is None
-        headerless = tmp_path / "headerless.manifest"
-        headerless.write_text(
-            json.dumps({"kind": "chunk", "index": 0, "rows": 1,
-                        "bytes": 10}) + "\n"
-        )
-        assert SweepManifest.load(headerless) is None
-
-
-class TestTornTail:
-    def test_truncates_back_to_the_last_newline(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        path.write_text('{"a":1}\n{"b":2}\n{"c":')
-        removed = truncate_torn_tail(path)
-        assert removed == len('{"c":')
-        assert path.read_text() == '{"a":1}\n{"b":2}\n'
-
-    def test_clean_file_untouched(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        path.write_text('{"a":1}\n')
-        assert truncate_torn_tail(path) == 0
-        assert path.read_text() == '{"a":1}\n'
-
-    def test_file_with_no_newline_at_all_empties(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        path.write_text('{"a":')
-        assert truncate_torn_tail(path) == len('{"a":')
-        assert path.read_text() == ""
-
-    def test_missing_and_empty_are_noops(self, tmp_path):
-        assert truncate_torn_tail(tmp_path / "absent") == 0
-        empty = tmp_path / "empty"
-        empty.write_text("")
-        assert truncate_torn_tail(empty) == 0

@@ -333,61 +333,6 @@ class TestSinks:
             sink.close()
         assert mid_run.strip().splitlines() == ["mode,a", "0.003,1.0"]
 
-    def test_csv_sink_append_continues_without_second_header(
-        self, tmp_path
-    ):
-        # A chunk-aligned append must reproduce an uninterrupted run's
-        # file byte for byte, with the existing header fixing columns.
-        path = tmp_path / "rows.csv"
-        plan = lower(SURVIVAL_SWEEP, chunk_size=4)
-        first = CsvSink(str(path))
-        first.open(plan)
-        results = []
-        for chunk_results in stream_results(plan):
-            results.extend(chunk_results)
-        try:
-            first.write(results[:4])
-        finally:
-            first.close()
-        second = CsvSink(str(path), append=True)
-        second.open(plan)
-        try:
-            second.write(results[4:8])
-            second.write(results[8:])
-        finally:
-            second.close()
-        whole = tmp_path / "whole.csv"
-        run_sweep_streaming(
-            SURVIVAL_SWEEP, sinks=(CsvSink(str(whole)),), chunk_size=4
-        )
-        assert path.read_bytes() == whole.read_bytes()
-
-    def test_csv_sink_append_enforces_existing_header(self, tmp_path):
-        from repro.engine import ScenarioSpec, ScenarioResult
-
-        path = tmp_path / "rows.csv"
-        path.write_text("mode,a,b\r\n0.003,1.0,2.0\r\n")
-        sink = CsvSink(str(path), append=True)
-        sink.open(None)
-        spec = ScenarioSpec("survival_update", {"mode": 0.003})
-        try:
-            sink.write([ScenarioResult(spec, {"a": 3.0})])
-            with pytest.raises(DomainError, match="header"):
-                sink.write([ScenarioResult(spec, {"a": 1.0, "c": 9.0})])
-        finally:
-            sink.close()
-        with open(path, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert rows == [
-            {"mode": "0.003", "a": "1.0", "b": "2.0"},
-            {"mode": "0.003", "a": "3.0", "b": ""},
-        ]
-
-    def test_csv_sink_append_needs_a_path(self):
-        sink = CsvSink(io.StringIO(), append=True)
-        with pytest.raises(DomainError, match="file path"):
-            sink.open(None)
-
     def test_progress_counters(self):
         calls = []
         run_sweep_streaming(

@@ -212,8 +212,7 @@ class TestDeltaContentAxis:
 class TestDeltaCrashSafety:
     def test_killed_delta_leaves_no_manifest(self, tmp_path, monkeypatch):
         # The old manifest must be consumed before any blob write: a
-        # delta dying mid-run reads as "no store here", never as a
-        # readable mix of generations.
+        # delta dying mid-run is never readable as a mix of generations.
         from repro.store.sink import TileWriter
 
         path = str(tmp_path / "store")
@@ -232,9 +231,11 @@ class TestDeltaCrashSafety:
             import repro.store as store_mod
             store_mod.TileStore.open(path)
 
-        # Recovery: no manifest -> honest full run, bit-identical.
+        # Recovery: the killed delta journaled the two tiles it reused
+        # before it died, so only the edited tile executes.
         meta = delta_run(path, edited)
-        assert meta["tiles_executed"] == meta["tiles_total"]
+        assert meta["tiles_skipped"] == 2
+        assert meta["tiles_executed"] == 1
         scratch = scratch_store(tmp_path, edited)
         assert store_bytes(path) == store_bytes(scratch)
 

@@ -95,6 +95,13 @@ class TestTileSink:
             open(os.path.join(path_shard, "manifest.json")))
         assert manifest_one == manifest_shard
 
+    def test_store_path_that_is_a_file_is_refused(self, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("not a directory")
+        with pytest.raises(DomainError, match="cannot write a tile store"):
+            run_sweep_streaming(SWEEP, sinks=(TileSink(str(path)),))
+        assert path.read_text() == "not a directory"
+
     def test_shard_plan_rejected_directly(self, tmp_path):
         plan = lower(SWEEP, chunk_size=4)
         sink = TileSink(str(tmp_path / "store"))

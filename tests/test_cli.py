@@ -346,6 +346,35 @@ class TestStreamingSweepCommand:
         assert "chunk 1/2" in captured.err
         assert "chunk 2/2 (3/3 scenarios)" in captured.err
 
+    def test_sharded_csv_matches_single_process_bytes(
+        self, capsys, tmp_path
+    ):
+        spec = self._spec_path(tmp_path, {
+            "pipeline": "sil_classification",
+            "base": {"mode": 0.003},
+            "grid": {
+                "sigma": [round(0.5 + 0.05 * i, 2) for i in range(20)],
+                "required_confidence": [0.5, 0.6, 0.7, 0.8, 0.9, 0.95,
+                                        0.99, 0.995, 0.999],
+            },
+        })
+        single, sharded = tmp_path / "single.csv", tmp_path / "sharded.csv"
+        assert main(["sweep", "--spec", spec, "--out", str(single),
+                     "--chunk-size", "16"]) == 0
+        assert main(["sweep", "--spec", spec, "--out", str(sharded),
+                     "--chunk-size", "16", "--shards", "3"]) == 0
+        assert "180 rows streamed" in capsys.readouterr().out
+        assert sharded.read_bytes() == single.read_bytes()
+
+    def test_workers_rejected_with_shards(self, capsys, tmp_path):
+        for workers in ("0", "7"):
+            assert main([
+                "sweep", "--spec", self._spec_path(tmp_path),
+                "--out", str(tmp_path / "rows.jsonl"),
+                "--shards", "2", "--workers", workers,
+            ]) == 2
+            assert "max_workers" in capsys.readouterr().err
+
     def test_stream_requires_out(self, capsys, tmp_path):
         assert main([
             "sweep", "--spec", self._spec_path(tmp_path), "--format", "csv",
@@ -356,7 +385,7 @@ class TestStreamingSweepCommand:
         self, capsys, tmp_path
     ):
         spec = self._spec_path(tmp_path)
-        for flags in (["--progress"], ["--shards", "2"], ["--resume"],
+        for flags in (["--progress"], ["--shards", "2"],
                       ["--delta"], ["--tile-scenarios", "4"]):
             assert main(["sweep", "--spec", spec, *flags]) == 2
             err = capsys.readouterr().err
@@ -739,6 +768,17 @@ class TestStoreCommand:
             "store", "query", store, "--fix", "demands=7",
         ]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_sweep_store_on_a_file_reports_error(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main([
+            "sweep", "--spec", self._spec_path(tmp_path),
+            "--store", str(taken),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write a tile store at {str(taken)!r}" in err
+        assert "Traceback" not in err
 
     def test_store_stats_on_non_store_reports_error(self, capsys, tmp_path):
         assert main(["store", "stats", str(tmp_path)]) == 2

@@ -4,16 +4,18 @@ The streaming executor's plans address every chunk deterministically
 (scenario ``i`` is mixed-radix grid arithmetic; its seed is the ``i``-th
 spawned child of the master seed), so a sweep can be split across
 worker processes and merged back in order with **bit-identical**
-output.  This example walks the coordinator:
+output.  Shard worker processes are the engine's one parallel path.
+This example walks the coordinator:
 
-1. **shard** — split a plan into disjoint sub-plans and check the
-   invariant ``concat(shards) == whole``;
+1. **shard** — split a plan's window into 4 windows of near-equal
+   scenario counts and check the invariant ``concat(shards) == whole``;
 2. **dispatch** — run the sweep across 4 worker processes with
    :func:`run_sweep_sharded` and compare bytes with the single-process
    stream;
 3. **recover** — kill a sharded run into a tile store part-way and
-   finish it with ``delta=True``: the tiles it committed are skipped
-   and the finished store is byte-identical to an uninterrupted run.
+   finish it with ``delta=True, shards=4``: the tiles it committed are
+   skipped, the rest run across the workers, and the finished store is
+   byte-identical to an uninterrupted run.
 
 Run with::
 
@@ -26,7 +28,8 @@ The CLI equivalent::
         --shards 4
     # ... killed?  Finish it: only the uncommitted tiles execute.
     PYTHONPATH=src python -m repro.cli sweep \
-        --spec examples/sweep_spec.yaml --store results_store --delta
+        --spec examples/sweep_spec.yaml --store results_store --delta \
+        --shards 4
 """
 
 import hashlib
@@ -57,18 +60,19 @@ sweep = SweepSpec(
 )
 
 # ---------------------------------------------------------------- #
-# 1. Shard: k disjoint sub-plans over chunk ranges.  Each shard keeps
-#    *absolute* chunk indices and seed windows, so concatenating the
-#    shards reproduces the whole plan exactly.
+# 1. Shard: k windows of near-equal scenario counts.  Each keeps the
+#    plan's *absolute* scenario indices, chunk grid and seed windows,
+#    so concatenating the shards reproduces the whole plan exactly (a
+#    chunk cut by a shard boundary is two pieces of the same chunk).
 # ---------------------------------------------------------------- #
 plan = lower(sweep, chunk_size=1024)
-shards = [plan.shard(i, 4) for i in range(4)]
+shards = plan.window().split(4)
 for shard in shards:
     print(f"  {shard!r}")
 assert sum(s.n_scenarios for s in shards) == plan.n_scenarios
-assert [c.index for s in shards for c in s.chunks()] == [
-    c.index for c in plan.chunks()
-]
+pieces = [(c.start, c.stop) for s in shards for c in s.chunks()]
+assert pieces[0][0] == 0 and pieces[-1][1] == plan.n_scenarios
+assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
 
 # ---------------------------------------------------------------- #
 # 2. Dispatch: 4 worker processes, ordered merge, one JSONL output.
@@ -93,7 +97,8 @@ print("4-shard output is byte-identical to the single-process stream")
 #    sharded store run after 12 of its 20 tiles (the 13th tile write
 #    fails here, a stand-in for kill -9): it leaves no manifest, so
 #    readers refuse it, and delta=True executes only the 8 missing
-#    tiles.  The finished store matches an uninterrupted run.
+#    tiles, across 4 shard workers again.  The finished store matches
+#    an uninterrupted run.
 # ---------------------------------------------------------------- #
 def store_sink(path):
     return TileSink(str(path), tile_scenarios=1000)        # 20 tiles
@@ -135,9 +140,9 @@ print("killed after 12 of 20 tiles: no manifest, journal of "
       f"{len((killed / 'journal.jsonl').read_text().splitlines())} tiles")
 
 finished = run_sweep_streaming(sweep, chunk_size=1024, delta=True,
-                               sinks=(store_sink(killed),))
+                               shards=4, sinks=(store_sink(killed),))
 print(f"delta: skipped {finished['tiles_skipped']} committed tiles, "
-      f"executed {finished['tiles_executed']}")
+      f"executed {finished['tiles_executed']} via {finished['backend']}")
 assert (finished["tiles_skipped"], finished["tiles_executed"]) == (12, 8)
 
 whole = workdir / "whole_store"

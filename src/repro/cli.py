@@ -12,8 +12,9 @@ Eleven subcommands cover the library's day-one uses:
   YAML/JSON spec file (single- or multi-sweep) and tabulate or export
   the results; ``--out rows.jsonl`` and/or ``--store DIR`` stream the
   rows instead (constant memory, JSONL/CSV sinks or a tile store,
-  ``--shards K`` worker processes, ``--progress`` chunk counters on
-  stderr), and ``--cache`` keeps a disk-persistent result cache;
+  ``--progress`` chunk counters on stderr); ``--shards K`` runs any
+  sweep in K worker processes, and ``--cache`` keeps a disk-persistent
+  result cache;
 * ``cache`` — ``stats`` (with per-region hit rates and on-disk bytes)
   and ``clear`` (disk log and/or ``--regions`` for the in-process
   compile caches) for the unified caches (:mod:`repro.compilecache`);
@@ -22,7 +23,7 @@ Eleven subcommands cover the library's day-one uses:
   queries slice the stored tiles directly — nothing re-executes — and
   ``sweep --delta`` re-runs a sweep incrementally against a store (or
   finishes a killed ``sweep --store`` run, executing only the tiles it
-  had not committed);
+  had not committed), with ``--shards K`` too;
 * ``telemetry`` — ``summary`` renders the span tree and self-time
   hotspots of a trace recorded with ``sweep --trace``
   (:mod:`repro.telemetry`);
@@ -49,7 +50,7 @@ Examples::
     repro-case sweep --spec examples/sweep_spec.yaml \
         --store results_store --shards 4
     repro-case sweep --spec examples/sweep_spec.yaml \
-        --store results_store --delta
+        --store results_store --delta --shards 4
     repro-case store stats results_store
     repro-case store query results_store --fix sigma=0.9 \
         --columns granted_level,sil2_confidence
@@ -150,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--backend", default="auto", choices=list(BACKENDS),
                          help="execution backend (default: auto — "
                          "vectorised when the pipeline supports it)")
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker count for thread/process backends")
     p_sweep.add_argument("--csv", default=None, metavar="PATH",
                          help="also export the collected results as CSV")
     p_sweep.add_argument("--limit", type=int, default=None,
@@ -168,9 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
                          dest="chunk_size", metavar="N",
                          help="scenarios per streamed chunk")
     p_sweep.add_argument("--shards", type=int, default=None, metavar="K",
-                         help="split the streamed sweep across K worker "
-                         "processes with strictly ordered merge — output "
-                         "is bit-identical to a single-process run")
+                         help="split the sweep across K worker processes "
+                         "with strictly ordered merge — output is "
+                         "bit-identical to a single-process run")
     p_sweep.add_argument("--store", default=None, metavar="DIR",
                          help="stream rows into a tiled columnar result "
                          "store (NumPy tiles + manifest) at DIR, "
@@ -412,11 +411,6 @@ def _run_sweep_streaming(args: argparse.Namespace,
                 "--delta writes only the tile store (row sinks would "
                 "re-emit every row); drop --out"
             )
-        if args.shards is not None:
-            raise ReproError(
-                "--delta runs single-process (skipped tiles make "
-                "sharding moot); drop --shards"
-            )
     if args.tile_scenarios is not None and args.store is None:
         raise ReproError("--tile-scenarios only applies with --store")
     out_format = None
@@ -437,7 +431,6 @@ def _run_sweep_streaming(args: argparse.Namespace,
     meta = run_sweep_streaming(
         sweeps[0],
         backend=args.backend,
-        max_workers=args.workers,
         chunk_size=args.chunk_size,
         cache=cache,
         sinks=tuple(sinks),
@@ -522,7 +515,6 @@ def _run_sweep(args: argparse.Namespace) -> str:
     else:
         misplaced = (("--format", args.out_format is not None),
                      ("--progress", args.progress),
-                     ("--shards", args.shards is not None),
                      ("--delta", args.delta),
                      ("--tile-scenarios", args.tile_scenarios is not None))
         where = "with --out or --store"
@@ -570,8 +562,8 @@ def _run_sweep_collect(args: argparse.Namespace, sweeps, cache) -> str:
     combined = []
     for index, spec in enumerate(sweeps):
         result = run_sweep(
-            spec, backend=args.backend, max_workers=args.workers,
-            chunk_size=args.chunk_size, cache=cache,
+            spec, backend=args.backend, chunk_size=args.chunk_size,
+            cache=cache, shards=args.shards,
         )
         label = spec.name or spec.pipeline
         if len(sweeps) > 1:

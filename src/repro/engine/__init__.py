@@ -9,15 +9,16 @@ fast:
   parameter grid, dict/YAML round-trippable;
 * :func:`lower` / :class:`ExecutionPlan` — the staged architecture's IR:
   parameter planes, chunk layout and per-chunk seed derivation, lazy in
-  the scenario count (:mod:`~repro.engine.plan`);
-* :func:`run_sweep` — grid expansion, caching, and execution on
-  vectorised / serial / thread / process backends, collected in memory;
+  the scenario count; :class:`PlanWindow` — the scenario ranges a run
+  executes (:mod:`~repro.engine.plan`);
+* :func:`run_sweep` — grid expansion, caching, and execution on the
+  vectorised or serial backend, collected in memory;
 * :func:`run_sweep_streaming` — the same execution core, chunk by chunk
   through pluggable sinks (:class:`JsonlSink`, :class:`CsvSink`,
   :class:`MemorySink`) in constant memory — the million-scenario path;
-* :func:`run_sweep_sharded` (or ``run_sweep_streaming(shards=k)``) —
-  the streaming path split across worker processes with strictly
-  ordered merge and worker-death retry
+* ``shards=k`` on either (or :func:`run_sweep_sharded`) — the engine's
+  one parallel path: the run's window split across worker processes
+  with strictly ordered merge and worker-death retry
   (:mod:`~repro.engine.coordinator`); a killed run written to a
   :class:`repro.store.TileSink` is finished by ``delta=True``;
 * :class:`ResultCache` — content-keyed memoisation of finished
@@ -59,7 +60,7 @@ from .pipelines import (
     register,
     register_batch_kernel,
 )
-from .plan import Chunk, ExecutionPlan, PlanShard, lower
+from .plan import Chunk, ExecutionPlan, PlanWindow, lower
 from .results import ResultSet, ScenarioResult
 from .sinks import CsvSink, JsonlSink, MemorySink, ResultSink
 from .spec import ScenarioSpec, SweepSpec, canonical_key, load_sweeps
@@ -76,7 +77,7 @@ __all__ = [
     "stream_results",
     "Chunk",
     "ExecutionPlan",
-    "PlanShard",
+    "PlanWindow",
     "lower",
     "ResultSink",
     "MemorySink",

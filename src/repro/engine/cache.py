@@ -8,13 +8,14 @@ canonical content hash (:meth:`repro.engine.spec.ScenarioSpec.key`), so a
 repeated scenario costs a dict lookup instead of a kernel evaluation.
 
 :class:`ResultCache` is the sweep-facing face of the unified
-:class:`repro.compilecache.ContentCache` core: thread-safe (the thread
-backend shares one instance across workers), LRU-bounded so long-running
-services cannot grow it without limit, and — with ``path=`` —
-**disk-persistent**: every stored result is appended to a JSONL log that
-is replayed on construction, so a cache built in one process serves hits
-in the next.  Stale replays are impossible by construction: cache keys
-are content hashes (pipelines fold referenced file content in via
+:class:`repro.compilecache.ContentCache` core: thread-safe,
+LRU-bounded so long-running services cannot grow it without limit, and
+— with ``path=`` — **disk-persistent**: every stored result is appended
+to a JSONL log that is replayed on construction, so a cache built in
+one process serves hits in the next.  That log is also how shard
+worker processes share a cache, so sharded runs need a ``path``.
+Stale replays are impossible by construction: cache keys are content
+hashes (pipelines fold referenced file content in via
 :meth:`~repro.engine.pipelines.Pipeline.cache_key`), so editing a spec
 or a case file changes the key and the old entry is simply never asked
 for again.

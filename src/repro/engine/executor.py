@@ -1,4 +1,4 @@
-"""Sweep execution across serial, vectorised and concurrent backends.
+"""Sweep execution: the collecting front door.
 
 :func:`run_sweep` is the engine's front door for in-memory sweeps: lower
 the spec to an :class:`~repro.engine.plan.ExecutionPlan`, drive it
@@ -12,6 +12,8 @@ for row — the collecting path is just the stream with an in-memory sink.
 Backends
 --------
 
+A backend says how each process runs its chunks:
+
 ``auto``
     ``vectorized`` when the pipeline has a batch kernel, else ``serial``.
 ``vectorized``
@@ -19,13 +21,11 @@ Backends
 ``serial``
     A plain loop over the scalar pipeline — the reference the others
     must match.
-``thread`` / ``process``
-    ``concurrent.futures`` pools fed with *many small chunks* (default
-    four per worker): workers that finish early immediately pull the next
-    chunk off the submission window, which approximates work stealing and
-    keeps the pool busy when scenario costs are skewed.  Chunks in the
-    process pool run the pipeline's batch kernel, so vectorisation and
-    multiprocessing compose.
+
+``shards=k`` spreads a sweep over ``k`` worker processes
+(:mod:`repro.engine.coordinator`), each running its share of the
+scenarios on the chosen backend; the rows come back in order and
+bit-identical.
 """
 
 from __future__ import annotations
@@ -76,18 +76,20 @@ def run_scenario(
 def run_sweep(
     sweep: SweepLike,
     backend: str = "auto",
-    max_workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     cache: Optional[ResultCache] = None,
+    shards: Optional[int] = None,
 ) -> ResultSet:
     """Expand and execute a sweep; results keep the expansion order.
 
     ``sweep`` is a :class:`SweepSpec` or an explicit sequence of
     :class:`ScenarioSpec` (which must share one pipeline).  Scenarios
     whose key is already in ``cache`` are not re-executed; fresh results
-    are memoised before returning.  This is the collecting wrapper over
-    :func:`~repro.engine.run_sweep_streaming` — for sweeps too large to
-    hold in memory, use the streaming API with a file sink instead.
+    are memoised before returning.  ``shards=k`` runs the sweep in ``k``
+    worker processes (the cache then needs a ``path``).  This is the
+    collecting wrapper over :func:`~repro.engine.run_sweep_streaming` —
+    for sweeps too large to hold in memory, use the streaming API with a
+    file sink instead.
     """
     started = time.perf_counter()
     if not isinstance(sweep, SweepSpec):
@@ -103,10 +105,10 @@ def run_sweep(
     meta = run_sweep_streaming(
         sweep,
         backend=backend,
-        max_workers=max_workers,
         chunk_size=chunk_size,
         cache=cache,
         sinks=(sink,),
+        shards=shards,
     )
     meta["elapsed_s"] = time.perf_counter() - started
     return sink.result_set(meta)

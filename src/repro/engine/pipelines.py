@@ -160,8 +160,8 @@ class Pipeline:
 
         Dispatches to the batch kernel registered for this pipeline's
         name when there is one, and falls back cleanly to a loop over
-        :meth:`run` otherwise — so concurrent backends can always chunk
-        through ``run_batch`` regardless of vectorisation.
+        :meth:`run` otherwise — so callers can always chunk through
+        ``run_batch`` regardless of vectorisation.
         """
         kernel = _BATCH_KERNELS.get(self.name)
         with tracer.span("kernel.dispatch", pipeline=self.name,

@@ -12,8 +12,9 @@ The engine's execution stack is staged — **plan, compile, execute**:
 2. The pipelines' batch kernels *compile* whatever they need (networks,
    cases, grids) through the unified :mod:`repro.compilecache`.
 3. The executors (:func:`repro.engine.run_sweep` and
-   :func:`repro.engine.run_sweep_streaming`) walk the plan chunk by
-   chunk on any backend.
+   :func:`repro.engine.run_sweep_streaming`) walk a
+   :class:`PlanWindow` of the plan — all of it, one shard's part, or a
+   delta's pending tiles — chunk by chunk.
 
 The plan is deliberately **lazy**: nothing scales with the scenario
 count except the arithmetic.  ``scenario(i)`` decodes the ``i``-th grid
@@ -39,7 +40,7 @@ from ..telemetry import tracer
 from .pipelines import Pipeline, get_pipeline
 from .spec import ScenarioSpec, SweepSpec
 
-__all__ = ["Chunk", "ExecutionPlan", "PlanShard", "lower",
+__all__ = ["Chunk", "ExecutionPlan", "PlanWindow", "lower",
            "DEFAULT_CHUNK_SIZE"]
 
 #: Default scenarios per chunk for streaming execution: large enough to
@@ -76,7 +77,8 @@ class ExecutionPlan:
 
     * :attr:`pipeline` / :attr:`pipeline_name` — the resolved pipeline;
     * :attr:`n_scenarios`, :attr:`n_chunks`, :meth:`chunks` — the chunk
-      layout;
+      layout; :meth:`window` — scenario ranges to run (a
+      :class:`PlanWindow`);
     * :meth:`scenario`, :meth:`chunk_scenarios` — lazy scenario
       reconstruction (identical to ``SweepSpec.expand()`` output);
     * :meth:`chunk_items` — the resolved ``(params, seed)`` run items a
@@ -182,37 +184,12 @@ class ExecutionPlan:
         for index in range(self.n_chunks):
             yield self.chunk(index)
 
-    # ------------------------------------------------------------------ #
-    # Sharding
-    # ------------------------------------------------------------------ #
-
-    def shard(self, index: int, count: int) -> "PlanShard":
-        """Shard ``index`` of ``count``: a disjoint chunk range sub-plan.
-
-        The plan's chunks are split into ``count`` contiguous,
-        near-equal ranges; shard ``i`` covers chunks
-        ``[floor(i*C/count), floor((i+1)*C/count))``.  Because every
-        shard keeps the parent's absolute scenario indices and seed
-        derivation, ``concat(shard(0, k) .. shard(k-1, k))`` reproduces
-        the whole plan's output stream bit for bit — by construction,
-        not by convention.  Shards of a plan with fewer chunks than
-        ``count`` may be empty.
-        """
-        if count < 1:
-            raise DomainError(f"shard count must be positive, got {count}")
-        if not 0 <= index < count:
-            raise DomainError(
-                f"shard index {index} out of range [0, {count})"
-            )
-        total = self.n_chunks
-        start = (index * total) // count
-        stop = ((index + 1) * total) // count
-        return PlanShard(self, start, stop, index=index, count=count)
-
-    def shard_chunks(self, start_chunk: int, stop_chunk: int) -> "PlanShard":
-        """An arbitrary contiguous chunk range ``[start, stop)`` as a
-        sub-plan (what the coordinator uses for retry)."""
-        return PlanShard(self, start_chunk, stop_chunk)
+    def window(
+        self, ranges: Optional[Sequence[Tuple[int, int]]] = None
+    ) -> "PlanWindow":
+        """The scenario ranges ``[start, stop)`` given (ascending and
+        disjoint) as a :class:`PlanWindow`; the whole plan by default."""
+        return PlanWindow(self, ((0, self._n),) if ranges is None else ranges)
 
     # ------------------------------------------------------------------ #
     # Lazy scenario reconstruction
@@ -508,105 +485,101 @@ class ExecutionPlan:
         self._pipeline = get_pipeline(self._pipeline_name)
 
 
-class PlanShard(ExecutionPlan):
-    """A contiguous chunk range of a parent plan, itself runnable.
+class PlanWindow:
+    """Ascending, disjoint scenario ranges of one plan, run in order.
 
-    Chunk and scenario indices stay **absolute** (the parent's), so a
-    shard's chunks carry their own ``spawn_seeds_range`` window: seeds,
-    grid decode and cache keys are exactly what the parent would
-    produce for those indices, on any backend.  :attr:`n_chunks` /
-    :meth:`chunk` are re-based so executors can walk a shard like any
-    plan; :attr:`parent_fingerprint` ties it back to the whole stream.
+    Every executor runs a window: :meth:`ExecutionPlan.window` covers
+    the whole plan, each shard worker runs one window of
+    :meth:`split`, and a delta runs the window of its pending tiles.
+    Indices stay **absolute** (the plan's), so a window's chunks decode
+    the plan's scenarios, seeds and cache keys for those indices, and
+    windows that concatenate to the plan reproduce its output stream
+    bit for bit.  Adjacent ranges merge; empty ones drop out.
     """
 
-    def __init__(self, parent: ExecutionPlan, start_chunk: int,
-                 stop_chunk: int, index: Optional[int] = None,
-                 count: Optional[int] = None):
-        if isinstance(parent, PlanShard):
-            raise DomainError(
-                "cannot shard a shard; shard the parent plan instead"
-            )
-        if not 0 <= start_chunk <= stop_chunk <= parent.n_chunks:
-            raise DomainError(
-                f"shard chunk range [{start_chunk}, {stop_chunk}) outside "
-                f"the plan's [0, {parent.n_chunks})"
-            )
-        super().__init__(
-            parent.pipeline_name,
-            base=parent._base,
-            axes=parent._axes,
-            master_seed=parent._master_seed,
-            n_scenarios=parent._n,
-            chunk_size=parent._chunk_size,
-            explicit=parent._explicit,
-        )
-        self._start_chunk = int(start_chunk)
-        self._stop_chunk = int(stop_chunk)
-        self._shard_index = index
-        self._shard_count = count
-        self._parent_fingerprint = parent.fingerprint()
+    def __init__(self, plan: ExecutionPlan,
+                 ranges: Sequence[Tuple[int, int]]):
+        merged: List[Tuple[int, int]] = []
+        floor = 0
+        for start, stop in ranges:
+            start, stop = int(start), int(stop)
+            if not floor <= start <= stop <= plan.n_scenarios:
+                raise DomainError(
+                    f"window ranges must be ascending, disjoint and "
+                    f"inside [0, {plan.n_scenarios}), got {list(ranges)}"
+                )
+            floor = stop
+            if start == stop:
+                continue
+            if merged and merged[-1][1] == start:
+                merged[-1] = (merged[-1][0], stop)
+            else:
+                merged.append((start, stop))
+        self._plan = plan
+        self._ranges = tuple(merged)
 
     @property
-    def start_chunk(self) -> int:
-        """First parent chunk index covered (inclusive)."""
-        return self._start_chunk
+    def plan(self) -> ExecutionPlan:
+        return self._plan
 
     @property
-    def stop_chunk(self) -> int:
-        """Last parent chunk index covered (exclusive)."""
-        return self._stop_chunk
-
-    @property
-    def shard_index(self) -> Optional[int]:
-        return self._shard_index
-
-    @property
-    def shard_count(self) -> Optional[int]:
-        return self._shard_count
-
-    @property
-    def parent_fingerprint(self) -> str:
-        """The parent plan's :meth:`~ExecutionPlan.fingerprint`."""
-        return self._parent_fingerprint
-
-    @property
-    def start(self) -> int:
-        """First absolute scenario index covered (inclusive)."""
-        return min(self._start_chunk * self._chunk_size, self._n)
-
-    @property
-    def stop(self) -> int:
-        """Last absolute scenario index covered (exclusive)."""
-        return min(self._stop_chunk * self._chunk_size, self._n)
+    def ranges(self) -> Tuple[Tuple[int, int], ...]:
+        return self._ranges
 
     @property
     def n_scenarios(self) -> int:
-        return self.stop - self.start
+        return sum(stop - start for start, stop in self._ranges)
 
     @property
     def n_chunks(self) -> int:
-        return self._stop_chunk - self._start_chunk
+        size = self._plan.chunk_size
+        return sum((stop - 1) // size - start // size + 1
+                   for start, stop in self._ranges)
 
-    def chunk(self, index: int) -> Chunk:
-        """The shard's ``index``-th chunk, in parent coordinates."""
-        if not 0 <= index < self.n_chunks:
+    def chunks(self) -> Iterator[Chunk]:
+        """The window's ranges cut at the plan's chunk boundaries, in
+        scenario order; each piece keeps the index of its plan chunk."""
+        size = self._plan.chunk_size
+        for start, stop in self._ranges:
+            while start < stop:
+                index = start // size
+                end = min(stop, (index + 1) * size)
+                yield Chunk(index, start, end)
+                start = end
+
+    def take(self, lo: int, hi: int) -> "PlanWindow":
+        """The window's scenarios at positions ``[lo, hi)`` (counted
+        along the window) as a window of the same plan."""
+        if not 0 <= lo <= hi <= self.n_scenarios:
             raise DomainError(
-                f"chunk index {index} out of range [0, {self.n_chunks})"
+                f"positions [{lo}, {hi}) outside the window's "
+                f"[0, {self.n_scenarios})"
             )
-        absolute = self._start_chunk + index
-        start = absolute * self._chunk_size
-        return Chunk(absolute, start,
-                     min(start + self._chunk_size, self._n))
+        ranges = []
+        offset = 0
+        for start, stop in self._ranges:
+            first = max(lo - offset, 0)
+            last = min(hi - offset, stop - start)
+            if first < last:
+                ranges.append((start + first, start + last))
+            offset += stop - start
+        return PlanWindow(self._plan, ranges)
+
+    def split(self, count: int) -> List["PlanWindow"]:
+        """``count`` consecutive windows of near-equal scenario counts
+        that concatenate to this one (the shards of a sharded run).  A
+        split does not follow chunk boundaries, so every shard gets
+        work even when the window has fewer chunks than shards."""
+        if count < 1:
+            raise DomainError(f"shard count must be positive, got {count}")
+        n = self.n_scenarios
+        return [self.take(i * n // count, (i + 1) * n // count)
+                for i in range(count)]
 
     def __repr__(self) -> str:
-        label = (
-            f" (shard {self._shard_index}/{self._shard_count})"
-            if self._shard_index is not None else ""
-        )
         return (
-            f"PlanShard({self._pipeline_name!r}, chunks "
-            f"[{self._start_chunk}, {self._stop_chunk}), "
-            f"{self.n_scenarios} scenarios{label})"
+            f"PlanWindow({self._plan.pipeline_name!r}, "
+            f"{self.n_scenarios} scenarios in {list(self._ranges)})"
         )
 
 

@@ -14,9 +14,11 @@ window + referenced-file content) against those records:
   temp files on the store's filesystem (hash-verified as they stream,
   memory bounded however many tiles move) and renamed into the new
   index;
-* **executed** — everything else runs through the ordinary streaming
-  machinery (:func:`repro.engine.stream.stream_results`) as an
-  explicit-scenario sub-plan carrying the parent's absolute seeds.
+* **executed** — everything else runs as one
+  :class:`~repro.engine.plan.PlanWindow` of the plan through the
+  ordinary executor (:func:`repro.engine.stream.run_sweep_streaming`),
+  in this process or across ``shards``, into the same
+  :class:`~repro.store.TileSink`.
 
 Because reused blobs were themselves produced by a run of a
 fingerprint-identical region, and executed tiles run the same kernels
@@ -40,43 +42,23 @@ import shutil
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..compilecache import compile_seconds
 from ..errors import DomainError
 from ..telemetry import tracer
 from ..engine.cache import ResultCache
-from ..engine.plan import Chunk, lower
+from ..engine.coordinator import check_sharding
 from ..engine.sinks import ResultSink
-from ..engine.stream import (
-    ProgressFn,
-    _resolve_backend,
-    run_sweep_streaming,
-    stream_results,
-)
+from ..engine.stream import ProgressFn, _resolve_backend, run_sweep_streaming
 from .format import (
     TILES_DIR,
     append_journal,
-    manifest_path,
     read_journal,
     read_manifest,
     tile_dirname,
 )
-from .layout import Tile, TileLayout
+from .layout import Tile
 from .sink import TileSink, TileWriter
 
 __all__ = ["run_sweep_delta"]
-
-
-def _delta_meta(meta: Dict[str, Any], writer: TileWriter,
-                n_tiles: int) -> Dict[str, Any]:
-    meta["delta"] = True
-    meta["tiles_total"] = n_tiles
-    meta["tiles_executed"] = writer.tiles_written
-    meta["tiles_skipped"] = writer.tiles_skipped
-    meta["tiles_moved"] = writer.tiles_moved
-    meta["rows_executed"] = writer.rows_written
-    meta["bytes_written"] = writer.bytes_written
-    meta["bytes_reused"] = writer.bytes_reused
-    return meta
 
 
 def _previous_generation(store_path: str) -> List[Dict[str, Any]]:
@@ -150,14 +132,81 @@ def _stage_move_sources(
     return staged
 
 
+def _reuse(writer: TileWriter,
+           old_records: List[Dict[str, Any]]) -> List[Tile]:
+    """Adopt every tile of ``writer``'s layout that the previous
+    generation's ``old_records`` still hold (skipped in place or moved),
+    journal them, and return the tiles left to execute, in order."""
+    layout = writer.layout
+    old_by_index: Dict[int, Dict[str, Any]] = {
+        record["index"]: record for record in old_records
+    }
+    old_by_fp: Dict[str, Dict[str, Any]] = {}
+    for record in old_records:
+        old_by_fp.setdefault(record["fingerprint"], record)
+    # Triage every tile before touching the store: moved-tile sources
+    # must be buffered before any destination write can clobber them.
+    skipped: List[Tuple[Tile, str, Dict[str, Any]]] = []
+    moved: List[Tuple[Tile, str, Dict[str, Any]]] = []
+    pending: List[Tile] = []
+    for tile in layout.tiles():
+        fp = layout.fingerprint(tile)
+        record = old_by_index.get(tile.index)
+        if record is not None and record["fingerprint"] == fp:
+            skipped.append((tile, fp, record))
+            continue
+        record = old_by_fp.get(fp)
+        if record is not None:
+            moved.append((tile, fp, record))
+        else:
+            pending.append(tile)
+
+    stage_dir = os.path.join(writer.path, STAGE_DIR)
+    shutil.rmtree(stage_dir, ignore_errors=True)  # a crashed delta's
+    if moved:
+        os.makedirs(stage_dir, exist_ok=True)
+    reused: List[Dict[str, Any]] = []
+    try:
+        move_staged = _stage_move_sources(writer.path, moved, stage_dir)
+        for tile, fp, record in moved:
+            staged = move_staged.get(tile.index)
+            if staged is None:
+                pending.append(tile)
+                continue
+            source_dir = os.path.join(
+                writer.path, TILES_DIR, tile_dirname(record["index"])
+            )
+            try:
+                reused.append(writer.reuse_tile(
+                    tile, fp, record, source_dir, staged=staged
+                ))
+            except DomainError:
+                pending.append(tile)
+    finally:
+        shutil.rmtree(stage_dir, ignore_errors=True)
+    for tile, fp, record in skipped:
+        try:
+            reused.append(writer.reuse_tile(
+                tile, fp, record, writer.tile_dir(tile.index)
+            ))
+        except DomainError:
+            pending.append(tile)
+    # Every reused tile's blobs are in place now: one journal batch.
+    # The pending run appends to this journal, so a delta killed
+    # mid-run is finished by the next one.
+    append_journal(writer.path, reused)
+    return sorted(pending, key=lambda tile: tile.index)
+
+
 def run_sweep_delta(
     sweep,
     backend: str = "auto",
-    max_workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
     cache: Optional[ResultCache] = None,
     sinks: Sequence[ResultSink] = (),
     progress: Optional[ProgressFn] = None,
+    shards: Optional[int] = None,
+    max_retries: int = 2,
 ) -> Dict[str, Any]:
     """Incrementally (re-)materialise a sweep's tile store.
 
@@ -166,12 +215,17 @@ def run_sweep_delta(
     sinks would have to re-emit every row anyway (use a full run for
     those).  The previous generation is the manifest at the sink's
     path or, without one, the journal a killed run left; with neither
-    this degrades to an ordinary full streaming run.  Both are
-    *consumed* (the manifest removed, the journal restarted) as soon
-    as they are read, before any blob is touched: a delta killed
-    mid-run is never readable as a mix of generations, and its own
-    journal lets the next delta finish it.  Returns the streaming meta
-    dict extended with ``delta``/``tiles_*``/``bytes_*`` accounting.
+    every tile executes.  Both are *consumed* (the manifest removed,
+    the journal restarted) as soon as they are read, before any blob is
+    touched: a delta killed mid-run is never readable as a mix of
+    generations, and its own journal lets the next delta finish it.
+
+    The tiles left to execute run as one window through
+    :func:`~repro.engine.stream.run_sweep_streaming` — with ``shards``,
+    across worker processes — and ``progress`` counts that window's
+    chunks; with nothing left, no executor runs.  Returns that run's
+    meta dict with ``rows`` set to the whole sweep's count and
+    ``delta``/``tiles_*``/``rows_executed``/``bytes_*`` accounting.
     """
     sinks = tuple(sinks)
     if len(sinks) != 1 or not isinstance(sinks[0], TileSink):
@@ -181,12 +235,12 @@ def run_sweep_delta(
         )
     sink = sinks[0]
 
+    # Everything that can refuse the run does so before the store is
+    # touched.
     started = time.perf_counter()
-    compile_before = compile_seconds()
-    plan, _effective, label = _resolve_backend(
-        sweep, backend, max_workers, chunk_size
-    )
-    plan_elapsed = time.perf_counter() - started
+    plan = _resolve_backend(sweep, backend, chunk_size)[0].plan
+    if shards is not None:
+        check_sharding(shards, max_retries, cache)
     if not plan.pipeline.deterministic and plan.master_seed is None:
         raise DomainError(
             f"pipeline {plan.pipeline_name!r} is stochastic and the "
@@ -194,158 +248,39 @@ def run_sweep_delta(
             f"run cannot guarantee bit-identity with a full run; set a "
             f"sweep seed or run without delta"
         )
-
-    layout = TileLayout(
-        plan,
-        tile_scenarios=sink.tile_scenarios,
-        tile_shape=sink.tile_shape,
-    )
-    old_records = _previous_generation(sink.path)
-    if not old_records:
-        meta = run_sweep_streaming(
-            plan, backend=backend, max_workers=max_workers,
-            cache=cache, sinks=(sink,), progress=progress,
-        )
-        writer = sink.writer
-        assert writer is not None
-        return _delta_meta(meta, writer, layout.n_tiles)
-
-    meta: Dict[str, Any] = {
-        "pipeline": plan.pipeline_name,
-        "backend": label,
-        "n_scenarios": plan.n_scenarios,
-        "n_chunks": plan.n_chunks,
-        "chunk_size": plan.chunk_size,
-    }
-    # The old records are in memory now; restart the journal and remove
-    # the manifest before any blob is touched.  Were the manifest left
-    # in place, readers would silently serve a mix of generations, and
-    # a later delta would stamp the old hashes onto the new bytes.
-    writer = TileWriter(sink.path, layout)
-    try:
-        os.remove(manifest_path(sink.path))
-    except OSError:
-        pass
-
-    old_by_index: Dict[int, Dict[str, Any]] = {
-        record["index"]: record for record in old_records
-    }
-    old_by_fp: Dict[str, Dict[str, Any]] = {}
-    for record in old_records:
-        old_by_fp.setdefault(record["fingerprint"], record)
-
-    execute_elapsed = sink_elapsed = 0.0
-    hits = misses = 0
     with tracer.span("sweep.delta", pipeline=plan.pipeline_name,
-                     backend=label, n_scenarios=plan.n_scenarios,
-                     n_tiles=layout.n_tiles) as root_span:
-        # Triage every tile before touching the store: moved-tile
-        # sources must be buffered before any destination write can
-        # clobber them.
-        skipped: List[Tuple[Tile, str, Dict[str, Any]]] = []
-        moved: List[Tuple[Tile, str, Dict[str, Any]]] = []
-        pending: List[Tuple[Tile, str]] = []
-        for tile in layout.tiles():
-            fp = layout.fingerprint(tile)
-            record = old_by_index.get(tile.index)
-            if record is not None and record["fingerprint"] == fp:
-                skipped.append((tile, fp, record))
-                continue
-            record = old_by_fp.get(fp)
-            if record is not None:
-                moved.append((tile, fp, record))
-            else:
-                pending.append((tile, fp))
-
-        stage_dir = os.path.join(sink.path, STAGE_DIR)
-        shutil.rmtree(stage_dir, ignore_errors=True)  # a crashed delta's
-        if moved:
-            os.makedirs(stage_dir, exist_ok=True)
-        reused: List[Dict[str, Any]] = []
-        try:
-            move_staged = _stage_move_sources(sink.path, moved, stage_dir)
-            for tile, fp, record in moved:
-                staged = move_staged.get(tile.index)
-                if staged is None:
-                    pending.append((tile, fp))
-                    continue
-                source_dir = os.path.join(
-                    sink.path, TILES_DIR, tile_dirname(record["index"])
-                )
-                try:
-                    reused.append(writer.reuse_tile(
-                        tile, fp, record, source_dir, staged=staged
-                    ))
-                except DomainError:
-                    pending.append((tile, fp))
-        finally:
-            shutil.rmtree(stage_dir, ignore_errors=True)
-        for tile, fp, record in skipped:
-            source_dir = writer.tile_dir(tile.index)
-            try:
-                reused.append(
-                    writer.reuse_tile(tile, fp, record, source_dir)
-                )
-            except DomainError:
-                pending.append((tile, fp))
-        # Every reused tile's blobs are in place now: one journal batch.
-        append_journal(sink.path, reused)
-
-        pending.sort(key=lambda item: item[0].index)
-        done_tiles = layout.n_tiles - len(pending)
-        done_rows = sum(
-            record["rows"]
-            for records in (skipped, moved)
-            for _tile, _fp, record in records
+                     n_scenarios=plan.n_scenarios) as span:
+        # Read the old records first: begin() removes the manifest and
+        # restarts the journal before any blob is touched.  Were the
+        # manifest left in place, readers would silently serve a mix of
+        # generations, and a later delta would stamp the old hashes onto
+        # the new bytes.
+        old_records = _previous_generation(sink.path)
+        writer = sink.begin(plan)
+        pending = _reuse(writer, old_records)
+        meta = run_sweep_streaming(
+            plan.window([(tile.start, tile.stop) for tile in pending]),
+            backend=backend,
+            cache=cache,
+            sinks=(sink,),
+            progress=progress,
+            shards=shards,
+            max_retries=max_retries,
         )
-        if progress is not None and layout.n_tiles:
-            progress(done_tiles, layout.n_tiles, done_rows,
-                     plan.n_scenarios)
-        for tile, fp in pending:
-            stage_start = time.perf_counter()
-            scenarios = plan.chunk_scenarios(
-                Chunk(-1, tile.start, tile.stop)
-            )
-            sub_plan = lower(
-                scenarios,
-                chunk_size=min(plan.chunk_size, max(1, tile.n_scenarios)),
-            )
-            rows = []
-            for chunk_results in stream_results(
-                sub_plan, backend=backend, max_workers=max_workers,
-                cache=cache,
-            ):
-                rows.extend(chunk_results)
-            chunk_hits = sum(1 for row in rows if row.from_cache)
-            hits += chunk_hits
-            misses += len(rows) - chunk_hits
-            execute_elapsed += time.perf_counter() - stage_start
-            stage_start = time.perf_counter()
-            writer.write_tile(tile, rows, fingerprint=fp)
-            sink_elapsed += time.perf_counter() - stage_start
-            done_tiles += 1
-            done_rows += len(rows)
-            if progress is not None:
-                progress(done_tiles, layout.n_tiles, done_rows,
-                         plan.n_scenarios)
-
-        stage_start = time.perf_counter()
-        manifest = writer.finalise()
-        sink.adopt(writer, manifest)
-        sink_elapsed += time.perf_counter() - stage_start
-        root_span.set(tiles_executed=writer.tiles_written,
-                      tiles_skipped=writer.tiles_skipped,
-                      tiles_moved=writer.tiles_moved,
-                      bytes_reused=writer.bytes_reused)
-
-    meta["cache_hits"] = hits
-    meta["cache_misses"] = misses
-    meta["rows"] = plan.n_scenarios
-    meta["elapsed_s"] = time.perf_counter() - started
-    meta["stage_timings"] = {
-        "plan_s": plan_elapsed,
-        "compile_s": compile_seconds() - compile_before,
-        "execute_s": execute_elapsed,
-        "sink_s": sink_elapsed,
-    }
-    return _delta_meta(meta, writer, layout.n_tiles)
+        span.set(tiles_executed=writer.tiles_written,
+                 tiles_skipped=writer.tiles_skipped,
+                 tiles_moved=writer.tiles_moved,
+                 bytes_reused=writer.bytes_reused)
+    meta.update(
+        rows=plan.n_scenarios,
+        elapsed_s=time.perf_counter() - started,
+        delta=True,
+        tiles_total=writer.layout.n_tiles,
+        tiles_executed=writer.tiles_written,
+        tiles_skipped=writer.tiles_skipped,
+        tiles_moved=writer.tiles_moved,
+        rows_executed=writer.rows_written,
+        bytes_written=writer.bytes_written,
+        bytes_reused=writer.bytes_reused,
+    )
+    return meta

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..errors import DomainError
-from ..engine.plan import ExecutionPlan, PlanShard
+from ..engine.plan import ExecutionPlan
 
 __all__ = ["Tile", "TileLayout", "default_tile_shape",
            "DEFAULT_TILE_SCENARIOS"]
@@ -140,16 +140,12 @@ class TileLayout:
         tile_scenarios: Optional[int] = None,
         tile_shape: Optional[Union[Sequence[int], Dict[str, int]]] = None,
     ):
-        if isinstance(plan, PlanShard):
-            raise DomainError(
-                "tile layouts cover whole plans; pass the parent plan "
-                "(the coordinator already opens sinks with it)"
-            )
         if tile_scenarios is not None and tile_shape is not None:
             raise DomainError(
                 "pass tile_scenarios or tile_shape, not both"
             )
         self._plan = plan
+        self._fingerprints: Dict[int, str] = {}
         self._grid_shape = plan.grid_shape
         self._linear = not self._grid_shape
         target = (DEFAULT_TILE_SCENARIOS if tile_scenarios is None
@@ -266,14 +262,20 @@ class TileLayout:
 
     def fingerprint(self, tile: Tile) -> str:
         """The plan's region fingerprint of ``tile`` (see
-        :meth:`repro.engine.plan.ExecutionPlan.region_fingerprint`)."""
-        if self._linear:
-            blocks: Tuple[Tuple[int, int], ...] = (
-                (tile.start, tile.n_scenarios),
-            )
-        else:
-            blocks = tuple(zip(tile.offsets, tile.shape))
-        return self._plan.region_fingerprint(blocks)
+        :meth:`repro.engine.plan.ExecutionPlan.region_fingerprint`),
+        computed once per tile: a delta's triage and the tile's write
+        share it."""
+        fingerprint = self._fingerprints.get(tile.index)
+        if fingerprint is None:
+            if self._linear:
+                blocks: Tuple[Tuple[int, int], ...] = (
+                    (tile.start, tile.n_scenarios),
+                )
+            else:
+                blocks = tuple(zip(tile.offsets, tile.shape))
+            fingerprint = self._plan.region_fingerprint(blocks)
+            self._fingerprints[tile.index] = fingerprint
+        return fingerprint
 
     def describe(self) -> Dict[str, Any]:
         """Manifest-facing summary of the layout."""

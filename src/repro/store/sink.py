@@ -10,12 +10,13 @@ directory, but its journal names every committed tile, so
 
 * :class:`TileSink` adapts it to the streaming executor's
   :class:`~repro.engine.sinks.ResultSink` protocol, cutting tiles off
-  the ordered row stream with a bounded buffer.  The coordinator opens
-  sinks with the *whole* plan (shards spill, the coordinator merges in
-  order), so sharded sweeps write tile stores unchanged.
-* the delta executor (:mod:`repro.store.delta`) drives a writer
-  directly, mixing freshly executed tiles with blobs reused from the
-  previous store generation.
+  the ordered row stream with a bounded buffer.  Sinks live in the
+  executor's process (shard workers only compute rows), so sharded
+  sweeps write tile stores unchanged.
+* the delta executor (:mod:`repro.store.delta`) starts a generation
+  with :meth:`TileSink.begin`, reuses the previous generation's
+  matching blobs through the writer, and runs the remaining tiles as a
+  window through the ordinary executor into the same sink.
 """
 
 from __future__ import annotations
@@ -23,12 +24,13 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import DomainError
-from ..engine.plan import ExecutionPlan, PlanShard
+from ..engine.plan import ExecutionPlan, PlanWindow
 from ..engine.results import ScenarioResult
 from ..engine.sinks import ResultSink
 from ..telemetry import metrics, tracer
@@ -121,10 +123,7 @@ class TileWriter:
     # ------------------------------------------------------------------ #
 
     def write_tile(
-        self,
-        tile: Tile,
-        rows: Sequence[ScenarioResult],
-        fingerprint: Optional[str] = None,
+        self, tile: Tile, rows: Sequence[ScenarioResult]
     ) -> Dict[str, Any]:
         """Encode and persist one executed tile; returns its record."""
         if len(rows) != tile.n_scenarios:
@@ -132,8 +131,6 @@ class TileWriter:
                 f"tile {tile.index} expects {tile.n_scenarios} rows, "
                 f"got {len(rows)}"
             )
-        if fingerprint is None:
-            fingerprint = self._layout.fingerprint(tile)
         self._bind_columns(list(rows[0].values))
         assert self._columns is not None
         tile_dir = self.tile_dir(tile.index)
@@ -164,7 +161,7 @@ class TileWriter:
                 self.bytes_written += len(data)
                 _M_BYTES_WRITTEN.add(len(data))
             span.set(tile=tile.index, rows=len(rows))
-        record = self._record(tile, fingerprint, columns)
+        record = self._record(tile, self._layout.fingerprint(tile), columns)
         self._records[tile.index] = record
         append_journal(self._path, [record])
         self.tiles_written += 1
@@ -387,13 +384,13 @@ class TileSink(ResultSink):
     per tile, default ``16384``) or an explicit ``tile_shape`` (per-axis
     block sizes in pivot form — see :mod:`repro.store.layout`).
 
-    Rows arrive in scenario order (the executor and the coordinator
-    both guarantee it), so the sink holds at most one tile plus one
-    chunk of rows in memory before flushing blobs to disk.  The
-    manifest is written by :meth:`close` only after the final tile —
-    an interrupted run leaves blobs and a journal of its committed
-    tiles but no manifest: readers refuse it, a ``delta=True`` run
-    executes only the uncommitted tiles, and a full run starts afresh.
+    Rows arrive in scenario order (the executor guarantees it, sharded
+    or not), so the sink holds at most one tile plus one chunk of rows
+    in memory before flushing blobs to disk.  The manifest is written by
+    :meth:`close` only after the final tile — an interrupted run leaves
+    blobs and a journal of its committed tiles but no manifest: readers
+    refuse it, a ``delta=True`` run executes only the uncommitted
+    tiles, and a full run starts afresh.
     """
 
     def __init__(
@@ -407,9 +404,9 @@ class TileSink(ResultSink):
         self._tile_shape = tile_shape
         self._writer: Optional[TileWriter] = None
         self._layout: Optional[TileLayout] = None
+        self._begun: Optional[ExecutionPlan] = None
+        self._tiles: deque = deque()
         self._buffer: List[ScenarioResult] = []
-        self._buffer_start = 0
-        self._next_tile = 0
         self._manifest: Optional[Dict[str, Any]] = None
 
     @property
@@ -433,63 +430,69 @@ class TileSink(ResultSink):
         """The manifest written by :meth:`close` (None if incomplete)."""
         return self._manifest
 
-    def open(self, plan: ExecutionPlan) -> None:
-        if isinstance(plan, PlanShard):
-            raise DomainError(
-                "TileSink needs the whole plan, not a shard; sharded "
-                "runs already open sinks with the parent plan via the "
-                "coordinator (run_sweep_streaming(shards=...))"
-            )
+    def begin(self, plan: ExecutionPlan) -> TileWriter:
+        """Start a new store generation of ``plan``; returns its writer.
+
+        Opening the sink with a whole plan does this.  A delta calls it
+        first, reuses the previous generation's tiles through the
+        writer, and then opens the sink with the window of the tiles
+        left to execute, which continues this generation.
+        """
         self._layout = TileLayout(
             plan,
             tile_scenarios=self._tile_scenarios,
             tile_shape=self._tile_shape,
         )
         self._writer = TileWriter(self._path, self._layout)
-        self._buffer = []
-        self._buffer_start = 0
-        self._next_tile = 0
         self._manifest = None
+        self._begun = plan
         # A stale manifest must not survive into a half-written store.
         try:
             os.remove(os.path.join(self._path, MANIFEST_NAME))
         except OSError:
             pass
+        return self._writer
+
+    def open(self, plan) -> None:
+        window = plan if isinstance(plan, PlanWindow) else plan.window()
+        if self._begun is not window.plan:
+            if window.n_scenarios != window.plan.n_scenarios:
+                raise DomainError(
+                    "TileSink needs the whole plan: a window only "
+                    "continues the store generation begin() started "
+                    "for its plan"
+                )
+            self.begin(window.plan)
+        self._begun = None
+        self._tiles = deque(self._window_tiles(window))
+        self._buffer = []
+
+    def _window_tiles(self, window: PlanWindow) -> List[Tile]:
+        """The tiles ``window`` covers, in order; its ranges must be
+        made of whole tiles."""
+        assert self._layout is not None
+        tiles = [
+            tile for tile in self._layout.tiles()
+            if any(start <= tile.start and tile.stop <= stop
+                   for start, stop in window.ranges)
+        ]
+        if sum(tile.n_scenarios for tile in tiles) != window.n_scenarios:
+            raise DomainError(
+                f"window {list(window.ranges)} does not consist of whole "
+                f"tiles of this store's layout"
+            )
+        return tiles
 
     def write(self, results: Sequence[ScenarioResult]) -> None:
-        if self._writer is None or self._layout is None:
+        if self._writer is None:
             raise DomainError("TileSink.write() before open()")
         self._buffer.extend(results)
-        end = self._buffer_start + len(self._buffer)
-        while self._next_tile < self._layout.n_tiles:
-            tile = self._layout.tile(self._next_tile)
-            if tile.stop > end:
-                break
-            lo = tile.start - self._buffer_start
-            hi = tile.stop - self._buffer_start
-            self._writer.write_tile(tile, self._buffer[lo:hi])
-            del self._buffer[:hi]
-            self._buffer_start = tile.stop
-            self._next_tile += 1
+        while self._tiles and len(self._buffer) >= self._tiles[0].n_scenarios:
+            tile = self._tiles.popleft()
+            self._writer.write_tile(tile, self._buffer[:tile.n_scenarios])
+            del self._buffer[:tile.n_scenarios]
 
     def close(self) -> None:
-        if self._writer is None or self._layout is None:
-            return
-        if self._next_tile == self._layout.n_tiles and not self._buffer:
+        if (self._writer is not None and self._manifest is None
+                and not self._tiles and not self._buffer):
             self._manifest = self._writer.finalise()
-
-    def adopt(self, writer: TileWriter, manifest: Dict[str, Any]) -> None:
-        """Adopt a finished store written by an external driver.
-
-        The delta executor drives a :class:`TileWriter` directly (it
-        never routes rows through :meth:`write`); after finalising it
-        hands the writer and manifest back here so :attr:`writer` and
-        :attr:`manifest` report the completed store on the delta path
-        exactly as they do after a full :meth:`open`/:meth:`close` run.
-        """
-        self._writer = writer
-        self._layout = writer.layout
-        self._buffer = []
-        self._buffer_start = writer.layout.plan.n_scenarios
-        self._next_tile = writer.layout.n_tiles
-        self._manifest = manifest

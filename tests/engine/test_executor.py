@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    BACKENDS,
     Pipeline,
     ResultCache,
     ScenarioSpec,
@@ -69,24 +70,16 @@ class TestBackendsAgree:
             for column, value in a.values.items():
                 assert b.values[column] == pytest.approx(value, abs=1e-12)
 
-    def test_thread_backend_matches_serial(self):
-        serial = _values_list(run_sweep(SURVIVAL_SWEEP, backend="serial"))
-        threaded = _values_list(
-            run_sweep(SURVIVAL_SWEEP, backend="thread", max_workers=4)
-        )
-        assert threaded == serial
-
-    def test_process_backend_matches_serial(self):
+    def test_sharded_run_matches_serial(self):
         small = SweepSpec(
             pipeline="survival_update",
             base={"mode": 0.003, "sigma": 0.9, "points_per_decade": 60},
             grid={"demands": [0, 100]},
         )
         serial = _values_list(run_sweep(small, backend="serial"))
-        processed = _values_list(
-            run_sweep(small, backend="process", max_workers=2)
-        )
-        assert processed == serial
+        sharded = run_sweep(small, shards=2)
+        assert _values_list(sharded) == serial
+        assert sharded.meta["backend"] == "shards(2):vectorized"
 
     def test_auto_prefers_vectorized_kernel(self):
         result = run_sweep(SURVIVAL_SWEEP)
@@ -113,14 +106,18 @@ class TestBackendsAgree:
         with pytest.raises(DomainError):
             run_sweep(SURVIVAL_SWEEP, backend="gpu")
 
-    @pytest.mark.parametrize("backend,workers", [("thread", 0),
-                                                 ("process", -1)])
-    def test_workers_below_one_rejected(self, backend, workers):
-        with pytest.raises(DomainError, match="max_workers"):
-            run_sweep(SURVIVAL_SWEEP, backend=backend, max_workers=workers)
-        with pytest.raises(DomainError, match="max_workers"):
-            run_sweep_streaming(SURVIVAL_SWEEP, backend=backend,
-                                max_workers=workers)
+    @pytest.mark.parametrize("shards", [0, -1])
+    def test_shards_below_one_rejected(self, shards):
+        with pytest.raises(DomainError, match="shards must be positive"):
+            run_sweep(SURVIVAL_SWEEP, shards=shards)
+        with pytest.raises(DomainError, match="shards must be positive"):
+            run_sweep_streaming(SURVIVAL_SWEEP, shards=shards)
+
+    def test_pools_are_gone(self):
+        assert BACKENDS == ("auto", "vectorized", "serial")
+        for backend in ("thread", "process"):
+            with pytest.raises(DomainError, match="backend must be one of"):
+                run_sweep(SURVIVAL_SWEEP, backend=backend)
 
 
 class TestCachingBehaviour:

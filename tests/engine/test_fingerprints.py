@@ -123,11 +123,11 @@ class TestRegionFingerprintProperties:
 
 
 class TestPinnedFingerprints:
-    """Fingerprints are persisted: tile-store manifests record region
-    fingerprints and checkpoint manifests record plan fingerprints.  Any
-    change to the hashed payload turns every existing store's next
-    ``--delta`` into a full re-execution and makes ``--resume`` refuse
-    every existing manifest, so these hashes are fixed across versions.
+    """Fingerprints are persisted: tile-store manifests and journals
+    record each tile's region fingerprint, and manifests record the plan
+    fingerprint.  Any change to the hashed payload turns every existing
+    store's next ``--delta`` — including one finishing a killed run —
+    into a full re-execution, so these hashes are fixed across versions.
     """
 
     UNSEEDED = sweep_over([0.7, 0.9], [0, 10, 100])

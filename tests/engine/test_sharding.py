@@ -1,18 +1,20 @@
-"""Tests for plan sharding and the multi-process sweep coordinator.
+"""Tests for plan windows, shards and the multi-process sweep coordinator.
 
 The load-bearing guarantees:
 
-* **Shard invariant** — ``concat(plan.shard(i, k) for i in 0..k) ==
-  plan`` for *any* k: same scenarios, same seeds, same absolute chunk
-  indices.  Checked exhaustively on fixed plans and by hypothesis on
-  random layouts.
+* **Shard invariant** — ``concat(plan.window().split(k)) == plan`` for
+  *any* k: same scenarios, same seeds, same absolute chunk indices.
+  Checked exhaustively on fixed plans and by hypothesis on random
+  layouts (in-process: no worker is spawned inside a hypothesis loop).
 * **Bit-identical distribution** — a k-shard multi-process run writes
-  byte-for-byte the single-process JSONL stream, for deterministic and
-  sampling pipelines alike.
+  byte-for-byte the single-process output, for collected, JSONL, CSV
+  and tile-store runs, deterministic and sampling pipelines, grid and
+  explicit scenario lists, and sweeps with fewer chunks than shards.
 * **Crash tolerance** — a worker that dies mid-shard is replaced
   (bounded retry) with no lost or duplicated rows.  Pipeline *errors*
-  propagate immediately.  (A killed coordinator is finished through
-  the tile store's journal; see ``tests/store/test_journal.py``.)
+  propagate immediately, naming the pipeline and the failing chunk's
+  scenarios.  (A killed coordinator is finished through the tile
+  store's journal; see ``tests/store/test_journal.py``.)
 """
 
 import hashlib
@@ -24,18 +26,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
+    CsvSink,
     JsonlSink,
     MemorySink,
     Pipeline,
+    PlanWindow,
+    ResultCache,
     SweepSpec,
     lower,
     register,
+    run_sweep,
     run_sweep_sharded,
     run_sweep_streaming,
     stream_results,
 )
-from repro.engine.plan import PlanShard
 from repro.errors import DomainError
+from repro.store import TileSink
 
 SURVIVAL_SWEEP = SweepSpec(
     pipeline="survival_update",
@@ -101,9 +107,24 @@ class _BoomPipeline(Pipeline):
         return {"doubled": float(merged["i"]) * 2.0}
 
 
+class _MarkPipeline(Pipeline):
+    """Deterministic rows; each executing process touches a file named
+    after its pid in ``marks``, so tests can see which processes ran."""
+
+    name = "test_shard_mark"
+    defaults = {"i": 0, "marks": ""}
+
+    def run(self, params, seed=None):
+        merged = self.resolve(params)
+        if merged["marks"]:
+            open(os.path.join(merged["marks"], str(os.getpid())), "a").close()
+        return {"doubled": float(merged["i"]) * 2.0}
+
+
 register(_CrashOncePipeline())
 register(_AlwaysCrashPipeline())
 register(_BoomPipeline())
+register(_MarkPipeline())
 
 
 def _demands_sweep(n):
@@ -126,106 +147,113 @@ def _reference_file(sweep, path, chunk_size=None):
     return _file_hash(path)
 
 
+def _shards(plan, count):
+    """The ``count`` shard windows of the whole plan."""
+    return plan.window().split(count)
+
+
+def _window_scenarios(plan, window):
+    return [s for c in window.chunks() for s in plan.chunk_scenarios(c)]
+
+
 class TestShardRanges:
-    """Shard chunk ranges come from ``ExecutionPlan.shard``; the
-    partition cases live in ``TestPlanShard``."""
+    """Shard ranges come from ``PlanWindow.split``; the partition cases
+    live in ``TestPlanShard``."""
 
     def test_invalid_count_rejected(self):
         plan = lower(SURVIVAL_SWEEP, chunk_size=5)
         with pytest.raises(DomainError):
-            plan.shard(0, 0)
+            _shards(plan, 0)
         with pytest.raises(DomainError):
-            plan.shard(0, -2)
+            _shards(plan, -2)
 
 
 class TestPlanShard:
+    """Plan shards: the windows ``plan.window().split(k)`` a sharded run
+    hands its workers."""
+
     def test_concat_of_shards_is_the_whole_plan(self):
         plan = lower(SURVIVAL_SWEEP, chunk_size=5)
+        whole = [(s.params, s.seed) for c in plan.chunks()
+                 for s in plan.chunk_scenarios(c)]
         for k in (1, 2, 3, 4, 7):
-            scenarios = []
-            seeds = []
-            for i in range(k):
-                shard = plan.shard(i, k)
-                assert shard.parent_fingerprint == plan.fingerprint()
-                for chunk in shard.chunks():
-                    scenarios.extend(
-                        s.params for s in plan.chunk_scenarios(chunk)
-                    )
-                    seeds.extend(
-                        s.seed for s in plan.chunk_scenarios(chunk)
-                    )
-            whole = [s.params for c in plan.chunks()
-                     for s in plan.chunk_scenarios(c)]
-            whole_seeds = [s.seed for c in plan.chunks()
-                          for s in plan.chunk_scenarios(c)]
-            assert scenarios == whole, f"k={k}"
-            assert seeds == whole_seeds, f"k={k}"
+            sharded = []
+            for shard in _shards(plan, k):
+                assert shard.plan is plan
+                sharded.extend((s.params, s.seed)
+                               for s in _window_scenarios(plan, shard))
+            assert sharded == whole, f"k={k}"
 
     def test_shard_chunks_keep_absolute_indices(self):
         plan = lower(SURVIVAL_SWEEP, chunk_size=5)  # chunks 0,1,2
-        shard = plan.shard(1, 2)
-        absolute = [chunk.index for chunk in shard.chunks()]
-        assert absolute == list(range(shard.start_chunk, shard.stop_chunk))
-        assert all(index >= shard.start_chunk for index in absolute)
-        # The shard's view of a chunk is the parent's chunk, verbatim.
+        shard = _shards(plan, 2)[1]                 # scenarios [6, 12)
+        assert shard.ranges == ((6, 12),)
+        # Pieces of the plan's chunks, cut at the shard boundary, with
+        # the plan's chunk indices.
+        assert list(shard.chunks()) == [
+            type(plan.chunk(1))(1, 6, 10), plan.chunk(2),
+        ]
         for chunk in shard.chunks():
-            assert chunk == plan.chunk(chunk.index)
+            whole = plan.chunk(chunk.index)
+            assert whole.start <= chunk.start < chunk.stop <= whole.stop
 
     def test_shards_split_chunks_contiguously(self):
         plan = lower(_demands_sweep(10), chunk_size=1)
         assert [
-            (shard.start_chunk, shard.stop_chunk)
-            for shard in (plan.shard(i, 3) for i in range(3))
-        ] == [(0, 3), (3, 6), (6, 10)]
+            shard.ranges for shard in _shards(plan, 3)
+        ] == [((0, 3),), ((3, 6),), ((6, 10),)]
 
-    def test_more_shards_than_chunks_gives_empty_shards(self):
+    def test_more_shards_than_chunks_still_fill_every_shard(self):
         plan = lower(SURVIVAL_SWEEP, chunk_size=6)  # 2 chunks
-        shards = [plan.shard(i, 5) for i in range(5)]
-        assert sorted(shard.n_chunks for shard in shards) == [0, 0, 0, 1, 1]
-        assert shards[0].start_chunk == 0 and shards[-1].stop_chunk == 2
+        shards = _shards(plan, 5)
+        assert [shard.n_scenarios for shard in shards] == [2, 2, 3, 2, 3]
+        assert shards[0].ranges[0][0] == 0
+        assert shards[-1].ranges[-1][1] == 12
 
     @given(
-        n_chunks=st.integers(min_value=1, max_value=500),
+        n_scenarios=st.integers(min_value=1, max_value=500),
         count=st.integers(min_value=1, max_value=20),
     )
     @settings(max_examples=50, deadline=None)
-    def test_property_shards_partition_near_equally(self, n_chunks, count):
-        plan = lower(_demands_sweep(n_chunks), chunk_size=1)
-        shards = [plan.shard(i, count) for i in range(count)]
-        assert shards[0].start_chunk == 0
-        assert shards[-1].stop_chunk == n_chunks
-        for left, right in zip(shards, shards[1:]):
-            assert left.stop_chunk == right.start_chunk
-        widths = [shard.n_chunks for shard in shards]
+    def test_property_shards_partition_near_equally(self, n_scenarios,
+                                                    count):
+        plan = lower(_demands_sweep(n_scenarios), chunk_size=7)
+        shards = _shards(plan, count)
+        covered = [r for shard in shards for r in shard.ranges]
+        assert covered[0][0] == 0 and covered[-1][1] == n_scenarios
+        for left, right in zip(covered, covered[1:]):
+            assert left[1] == right[0]
+        widths = [shard.n_scenarios for shard in shards]
         assert max(widths) - min(widths) <= 1
 
     def test_seeded_shards_carry_the_absolute_seed_window(self):
         plan = lower(PANEL_SWEEP, chunk_size=3)
         whole_seeds = [s.seed for c in plan.chunks()
                        for s in plan.chunk_scenarios(c)]
-        sharded = [s.seed for i in range(3)
-                   for c in plan.shard(i, 3).chunks()
-                   for s in plan.chunk_scenarios(c)]
+        sharded = [s.seed for shard in _shards(plan, 3)
+                   for s in _window_scenarios(plan, shard)]
         assert sharded == whole_seeds
 
     def test_invalid_sharding_rejected(self):
         plan = lower(SURVIVAL_SWEEP, chunk_size=5)
         with pytest.raises(DomainError):
-            plan.shard(0, 0)
+            _shards(plan, 0)
         with pytest.raises(DomainError):
-            plan.shard(3, 3)
+            plan.window([(4, 2)])           # backwards
         with pytest.raises(DomainError):
-            plan.shard(-1, 2)
+            plan.window([(0, 5), (3, 8)])   # overlapping
         with pytest.raises(DomainError):
-            plan.shard(0, 2).shard(0, 2)  # no shards of shards
+            plan.window([(10, 13)])         # past the plan
+        with pytest.raises(DomainError):
+            plan.window().take(3, 13)
 
     def test_shard_counts(self):
         plan = lower(SURVIVAL_SWEEP, chunk_size=5)  # 12 scenarios
-        shard = plan.shard(2, 3)
-        assert isinstance(shard, PlanShard)
-        assert shard.n_chunks == shard.stop_chunk - shard.start_chunk
-        assert shard.n_scenarios == shard.stop - shard.start
-        total = sum(plan.shard(i, 3).n_scenarios for i in range(3))
+        shard = _shards(plan, 3)[2]
+        assert isinstance(shard, PlanWindow)
+        assert shard.n_scenarios == 4 and shard.n_chunks == 2
+        assert len(list(shard.chunks())) == shard.n_chunks
+        total = sum(s.n_scenarios for s in _shards(plan, 3))
         assert total == plan.n_scenarios
 
     @given(
@@ -254,22 +282,52 @@ class TestPlanShard:
         ]
         sharded = [
             (r.spec.params, r.spec.seed, r.values)
-            for i in range(k)
-            for chunk_rows in stream_results(
-                plan.shard(i, k), backend="vectorized"
-            )
+            for shard in _shards(plan, k)
+            for chunk_rows in stream_results(shard, backend="vectorized")
             for r in chunk_rows
         ]
         assert sharded == whole
 
     def test_plan_pickles_and_reresolves_pipeline(self):
         plan = lower(SURVIVAL_SWEEP, chunk_size=5)
-        clone = pickle.loads(pickle.dumps(plan.shard(1, 2)))
-        assert clone.pipeline_name == "survival_update"
-        assert clone.pipeline is not None
-        assert [c.index for c in clone.chunks()] == [
-            c.index for c in plan.shard(1, 2).chunks()
+        shard = _shards(plan, 2)[1]
+        clone = pickle.loads(pickle.dumps(shard))
+        assert clone.plan.pipeline_name == "survival_update"
+        assert clone.plan.pipeline is not None
+        assert list(clone.chunks()) == list(shard.chunks())
+
+
+class TestPlanWindow:
+    def test_ranges_merge_and_empty_ranges_drop(self):
+        plan = lower(SURVIVAL_SWEEP, chunk_size=5)
+        window = plan.window([(0, 2), (2, 4), (4, 4), (8, 12)])
+        assert window.ranges == ((0, 4), (8, 12))
+        assert window.n_scenarios == 8
+
+    def test_take_counts_positions_along_the_window(self):
+        plan = lower(SURVIVAL_SWEEP, chunk_size=5)
+        window = plan.window([(1, 3), (6, 11)])     # 7 scenarios
+        assert window.take(1, 5).ranges == ((2, 3), (6, 9))
+        assert window.take(0, 7).ranges == window.ranges
+        assert window.take(3, 3).n_scenarios == 0
+
+    def test_split_of_a_multi_range_window_concatenates(self):
+        plan = lower(PANEL_SWEEP, chunk_size=3)
+        window = plan.window([(0, 2), (5, 9)])
+        pieces = window.split(3)
+        assert [s.seed for p in pieces
+                for s in _window_scenarios(plan, p)] == [
+            s.seed for s in _window_scenarios(plan, window)
         ]
+
+    def test_stream_of_a_window_is_its_slice_of_the_plan(self):
+        plan = lower(SURVIVAL_SWEEP, chunk_size=5)
+        whole = [r.values for rows in stream_results(plan) for r in rows]
+        window = plan.window([(3, 7), (9, 12)])
+        assert [len(rows) for rows in stream_results(window)] == [2, 2,
+                                                                  1, 2]
+        assert [r.values for rows in stream_results(window)
+                for r in rows] == whole[3:7] + whole[9:12]
 
 
 class TestFingerprint:
@@ -364,13 +422,136 @@ class TestShardedRuns:
             run_sweep_sharded(SURVIVAL_SWEEP, shards=0)
 
     def test_max_workers_rejected_with_shards(self):
-        # One worker process per shard: a worker count would be
-        # silently dropped, so it is refused.
-        with pytest.raises(DomainError, match="max_workers"):
+        # One worker process per shard, and no other pool: there is no
+        # worker count to pass.
+        with pytest.raises(TypeError, match="max_workers"):
             run_sweep_streaming(
                 SURVIVAL_SWEEP, shards=2, max_workers=7,
                 sinks=(MemorySink(),),
             )
+
+
+def _store_bytes(path):
+    """Every file in a tile store, relative path -> bytes."""
+    out = {}
+    for root, _dirs, files in os.walk(path):
+        for name in files:
+            full = os.path.join(root, name)
+            with open(full, "rb") as handle:
+                out[os.path.relpath(full, path)] = handle.read()
+    return out
+
+
+def _outputs(workdir, sweep, shards=None):
+    """Collected rows plus JSONL, CSV and tile-store bytes of one sweep
+    (three runs: collected, JSONL alone — the encoded-text path — and
+    CSV with a store)."""
+    os.makedirs(workdir)
+    collected = run_sweep(sweep, shards=shards)
+    run_sweep_streaming(
+        sweep, sinks=(JsonlSink(os.path.join(workdir, "rows.jsonl")),),
+        shards=shards,
+    )
+    store = os.path.join(workdir, "store")
+    run_sweep_streaming(
+        sweep,
+        sinks=(CsvSink(os.path.join(workdir, "rows.csv")),
+               TileSink(store, tile_scenarios=4)),
+        shards=shards,
+    )
+    with open(os.path.join(workdir, "rows.jsonl"), "rb") as handle:
+        jsonl = handle.read()
+    with open(os.path.join(workdir, "rows.csv"), "rb") as handle:
+        csv_bytes = handle.read()
+    return (
+        [(r.spec.params, r.spec.seed, r.values) for r in collected],
+        jsonl, csv_bytes, _store_bytes(store),
+    )
+
+
+SEEDED_BBN = SweepSpec(
+    pipeline="bbn_query",
+    base={"prior": 0.6, "n_samples": 200, "leg1_sensitivity": 0.95,
+          "leg1_specificity": 0.9, "leg2_validity": 0.88,
+          "leg2_sensitivity": 0.9, "leg2_specificity": 0.85},
+    grid={"dependence": [0.0, 0.2, 0.4], "leg1_validity": [0.8, 0.9]},
+    seed=7,
+)
+
+BIT_IDENTITY_SWEEPS = {
+    "deterministic-grid": SURVIVAL_SWEEP,
+    "seeded-grid": SEEDED_BBN,
+    "seeded-explicit": list(SEEDED_BBN.expand())[::-1],
+}
+
+
+class TestShardedBitIdentity:
+    """Every shard count reproduces single-process ``vectorized`` output
+    byte for byte.  These sweeps are one default chunk, fewer chunks
+    than shards: the shards split its scenarios."""
+
+    @pytest.mark.parametrize("name", sorted(BIT_IDENTITY_SWEEPS))
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_every_output_matches_single_process(self, tmp_path, name,
+                                                 shards):
+        sweep = BIT_IDENTITY_SWEEPS[name]
+        reference = _outputs(str(tmp_path / "single"), sweep)
+        assert _outputs(str(tmp_path / "sharded"), sweep,
+                        shards=shards) == reference
+
+    def test_fewer_chunks_than_shards_uses_every_worker(self, tmp_path):
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        sweep = SweepSpec(pipeline="test_shard_mark",
+                          base={"marks": str(marks)},
+                          grid={"i": list(range(9))})
+        assert lower(sweep).n_chunks == 1
+        reference = run_sweep(SweepSpec(pipeline="test_shard_mark",
+                                        grid={"i": list(range(9))}))
+        result = run_sweep(sweep, shards=3)
+        assert [r.values for r in result] == [r.values for r in reference]
+        assert result.meta["n_chunks"] == 1
+        pids = set(os.listdir(marks))
+        assert len(pids) == 3 and str(os.getpid()) not in pids
+
+    def test_split_chunk_reaches_sinks_whole(self, tmp_path):
+        # 12 scenarios in chunks of 5 over 2 shards: the boundary at 6
+        # cuts chunk 1, which still reaches every sink as one write.
+        class Recorder(MemorySink):
+            def __init__(self):
+                super().__init__()
+                self.writes = []
+
+            def write(self, results):
+                self.writes.append(len(results))
+                super().write(results)
+
+        sink = Recorder()
+        run_sweep_streaming(SURVIVAL_SWEEP, sinks=(sink,), chunk_size=5,
+                            shards=2)
+        assert sink.writes == [5, 5, 2]
+
+
+class TestShardedCache:
+    def test_memory_only_cache_is_refused(self):
+        with pytest.raises(DomainError, match=r"ResultCache\(path=\.\.\.\)"):
+            run_sweep_streaming(SURVIVAL_SWEEP, shards=2,
+                                cache=ResultCache(), sinks=(MemorySink(),))
+        with pytest.raises(DomainError, match="ResultCache"):
+            run_sweep(SURVIVAL_SWEEP, shards=2, cache=ResultCache())
+
+    def test_disk_cache_serves_hits_on_a_second_sharded_run(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        first = run_sweep(SURVIVAL_SWEEP, shards=2,
+                          cache=ResultCache(path=path))
+        assert (first.meta["cache_hits"], first.meta["cache_misses"]) == (
+            0, 12)
+        second = run_sweep(SURVIVAL_SWEEP, shards=2,
+                           cache=ResultCache(path=path))
+        assert (second.meta["cache_hits"], second.meta["cache_misses"]) == (
+            12, 0)
+        assert all(r.from_cache for r in second)
+        assert [r.values for r in second] == [r.values for r in first]
 
 
 class TestWorkerDeath:
@@ -425,3 +606,16 @@ class TestWorkerDeath:
                 sweep, shards=2, chunk_size=2, sinks=(MemorySink(),)
             )
         assert "boom from worker" in str(excinfo.value)
+
+    def test_pipeline_error_names_pipeline_and_chunk(self):
+        # Scenario 5 fails: shard 1 runs [4, 8) in chunks [4, 6), [6, 8).
+        sweep = SweepSpec(
+            pipeline="test_boom", base={"boom_at": 5},
+            grid={"i": list(range(8))},
+        )
+        with pytest.raises(DomainError) as excinfo:
+            run_sweep(sweep, shards=2, chunk_size=2)
+        assert str(excinfo.value) == (
+            "shard 1 failed: pipeline 'test_boom', scenarios [4, 6): "
+            "ValueError: boom from worker"
+        )

@@ -66,26 +66,28 @@ def _reference_rows(sweep, backend="auto"):
 
 
 class TestStreamedEqualsCollected:
-    @pytest.mark.parametrize("backend", ["serial", "vectorized", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "vectorized", "sharded"])
     @pytest.mark.parametrize("chunk_size", [1, 5, 12, 100])
     def test_every_backend_and_chunk_layout(self, backend, chunk_size):
+        # "sharded": the default backend in two worker processes.
+        execution = (
+            {"shards": 2} if backend == "sharded" else {"backend": backend}
+        )
         reference = _reference_rows(SURVIVAL_SWEEP)
         streamed, meta = _rows(
-            SURVIVAL_SWEEP, backend=backend, chunk_size=chunk_size
+            SURVIVAL_SWEEP, chunk_size=chunk_size, **execution
         )
         assert streamed == reference
         assert meta["rows"] == 12
         assert meta["n_chunks"] == -(-12 // chunk_size)
 
-    def test_process_backend(self):
+    def test_sharded_run(self):
         small = SweepSpec(
             pipeline="survival_update",
             base={"mode": 0.003, "sigma": 0.9, "points_per_decade": 60},
             grid={"demands": [0, 100, 1000]},
         )
-        streamed, _meta = _rows(
-            small, backend="process", chunk_size=2, max_workers=2
-        )
+        streamed, _meta = _rows(small, chunk_size=2, shards=2)
         assert streamed == _reference_rows(small, backend="serial")
 
     def test_prelowered_plan_accepted(self):
@@ -117,25 +119,20 @@ class TestStreamedEqualsCollected:
         from repro.engine.plan import DEFAULT_CHUNK_SIZE
         from repro.engine.stream import _resolve_backend
 
-        # In-process backends: DEFAULT_CHUNK_SIZE, so sweeps up to that
-        # size run as one chunk.  Pooled backends: four chunks per
-        # worker (12 scenarios over 2 workers -> chunks of 2), capped
-        # at DEFAULT_CHUNK_SIZE.
-        for backend, workers, chunk in (
-            ("vectorized", None, DEFAULT_CHUNK_SIZE),
-            ("serial", None, DEFAULT_CHUNK_SIZE),
-            ("thread", 2, 2),
-        ):
-            collected = run_sweep(SURVIVAL_SWEEP, backend=backend,
-                                  max_workers=workers).meta
-            _streamed, meta = _rows(SURVIVAL_SWEEP, backend=backend,
-                                    max_workers=workers)
-            assert collected["chunk_size"] == meta["chunk_size"] == chunk
+        # Every backend and every shard count: DEFAULT_CHUNK_SIZE, so
+        # sweeps up to that size run as one chunk (shards split its
+        # scenarios, not the layout).
+        for execution in ({"backend": "vectorized"}, {"backend": "serial"},
+                          {"shards": 2}):
+            collected = run_sweep(SURVIVAL_SWEEP, **execution).meta
+            _streamed, meta = _rows(SURVIVAL_SWEEP, **execution)
+            assert (collected["chunk_size"] == meta["chunk_size"]
+                    == DEFAULT_CHUNK_SIZE)
         big = SweepSpec(pipeline="survival_update",
                         base=dict(SURVIVAL_SWEEP.base),
                         grid={"demands": list(range(100_000))})
-        plan, _effective, _label = _resolve_backend(big, "process", 1)
-        assert plan.chunk_size == DEFAULT_CHUNK_SIZE
+        window, _effective, _label = _resolve_backend(big, "vectorized")
+        assert window.plan.chunk_size == DEFAULT_CHUNK_SIZE
 
     @given(
         sigmas=st.lists(
@@ -147,7 +144,7 @@ class TestStreamedEqualsCollected:
             min_size=1, max_size=4, unique=True,
         ),
         chunk_size=st.integers(min_value=1, max_value=20),
-        backend=st.sampled_from(["serial", "vectorized", "thread"]),
+        backend=st.sampled_from(["serial", "vectorized"]),
     )
     @settings(max_examples=25, deadline=None)
     def test_property_random_specs_agree(self, sigmas, demands,
@@ -188,7 +185,7 @@ class TestBitForBitRng:
             dict(backend="vectorized", chunk_size=1),
             dict(backend="vectorized", chunk_size=4),
             dict(backend="serial", chunk_size=3),
-            dict(backend="thread", chunk_size=2, max_workers=3),
+            dict(chunk_size=2, shards=3),
         ]
         for kwargs in executions:
             streamed, _meta = _rows(sweep, **kwargs)

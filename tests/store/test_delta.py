@@ -260,6 +260,93 @@ class TestDeltaCrashSafety:
         assert sink.writer.tiles_skipped == 3
 
 
+class TestDeltaShards:
+    """Pending tiles run as one window through the ordinary executor,
+    across shard worker processes when asked."""
+
+    def test_delta_runs_across_shards(self, tmp_path):
+        path = str(tmp_path / "store")
+        delta_run(path, sweep_over())
+        edited = sweep_over(confs=[0.6, 0.8, 0.9])
+        meta = run_sweep_streaming(
+            edited, sinks=(TileSink(path, tile_scenarios=4),),
+            delta=True, shards=2,
+        )
+        assert (meta["tiles_executed"], meta["tiles_skipped"]) == (1, 2)
+        assert meta["shards"] == 2 and meta["rows"] == 12
+        scratch = scratch_store(tmp_path, edited)
+        assert store_bytes(path) == store_bytes(scratch)
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_killed_run_is_finished_across_shards(self, tmp_path,
+                                                  monkeypatch, shards):
+        from repro.store.sink import TileWriter
+
+        # 12 scenarios in six tiles of 2; the run dies after four.
+        path = str(tmp_path / "store")
+        original = TileWriter.write_tile
+        written = []
+
+        def dying_write_tile(self, *args, **kwargs):
+            if len(written) == 4:
+                raise RuntimeError("killed")
+            written.append(original(self, *args, **kwargs))
+            return written[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TileWriter, "write_tile", dying_write_tile)
+            with pytest.raises(RuntimeError, match="killed"):
+                run_sweep_streaming(
+                    sweep_over(), sinks=(TileSink(path, tile_scenarios=2),),
+                    shards=2,
+                )
+        meta = run_sweep_streaming(
+            sweep_over(), sinks=(TileSink(path, tile_scenarios=2),),
+            delta=True, shards=shards,
+        )
+        assert (meta["tiles_executed"], meta["tiles_skipped"]) == (2, 4)
+        assert meta["rows_executed"] == 4
+        assert meta["tiles_total"] == 6 and meta["rows"] == 12
+        scratch = scratch_store(tmp_path, sweep_over(), tile_scenarios=2)
+        assert store_bytes(path) == store_bytes(scratch)
+
+    def test_nothing_pending_starts_no_executor_run(self, tmp_path,
+                                                    monkeypatch):
+        from repro.engine import get_pipeline
+        from repro.engine.coordinator import ShardedChunks
+
+        path = str(tmp_path / "store")
+        delta_run(path, sweep_over())
+        before = store_bytes(path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("executed with nothing pending")
+
+        pipeline = get_pipeline("sil_classification")
+        monkeypatch.setattr(ShardedChunks, "_spawn", refuse)
+        monkeypatch.setattr(pipeline, "run_batch", refuse)
+        monkeypatch.setattr(pipeline, "run", refuse)
+        for shards in (None, 2):
+            meta = run_sweep_streaming(
+                sweep_over(), sinks=(TileSink(path, tile_scenarios=4),),
+                delta=True, shards=shards,
+            )
+            assert meta["tiles_skipped"] == 3
+            assert meta["tiles_executed"] == meta["rows_executed"] == 0
+            assert store_bytes(path) == before
+
+    def test_bad_shard_count_leaves_the_store_untouched(self, tmp_path):
+        path = str(tmp_path / "store")
+        delta_run(path, sweep_over())
+        before = store_bytes(path)
+        with pytest.raises(DomainError, match="shards must be positive"):
+            run_sweep_streaming(
+                sweep_over(), sinks=(TileSink(path, tile_scenarios=4),),
+                delta=True, shards=0,
+            )
+        assert store_bytes(path) == before
+
+
 class TestDeltaGuards:
     def test_requires_exactly_one_tile_sink(self, tmp_path):
         with pytest.raises(DomainError, match="exactly one TileSink"):
@@ -276,13 +363,6 @@ class TestDeltaGuards:
                 sweep_over(),
                 sinks=(JsonlSink(str(tmp_path / "rows.jsonl")),),
                 delta=True,
-            )
-
-    def test_delta_rejects_shards_and_resume(self, tmp_path):
-        sink = TileSink(str(tmp_path / "store"))
-        with pytest.raises(DomainError, match="single-process"):
-            run_sweep_streaming(
-                sweep_over(), sinks=(sink,), delta=True, shards=2,
             )
 
     def test_unseeded_stochastic_pipeline_rejected(self, tmp_path):

@@ -101,11 +101,6 @@ class TestGridLayout:
         with pytest.raises(DomainError, match="not both"):
             TileLayout(plan, tile_scenarios=4, tile_shape=(1, 4))
 
-    def test_shard_rejected(self):
-        plan = lower(SWEEP, chunk_size=4)
-        with pytest.raises(DomainError, match="whole plans"):
-            TileLayout(plan.shard(0, 2))
-
     def test_partial_pivot_tile_is_truncated(self):
         sweep = SweepSpec(
             pipeline="survival_update",

@@ -106,7 +106,7 @@ class TestTileSink:
         plan = lower(SWEEP, chunk_size=4)
         sink = TileSink(str(tmp_path / "store"))
         with pytest.raises(DomainError, match="whole plan"):
-            sink.open(plan.shard(0, 2))
+            sink.open(plan.window().split(2)[0])
 
     def test_interrupted_run_leaves_no_manifest(self, tmp_path):
         path = str(tmp_path / "store")

@@ -108,13 +108,22 @@ class TestSweepCommand:
         assert code == 0
         assert "backend=serial" in out
 
-    def test_sweep_workers_below_one_rejected(self, capsys, tmp_path):
+    def test_sweep_shards_below_one_rejected(self, capsys, tmp_path):
         spec = self._spec_path(tmp_path)
-        for backend, workers in (("thread", "0"), ("process", "-1")):
-            assert main(["sweep", "--spec", spec, "--backend", backend,
-                         "--workers", workers]) == 2
+        for shards in ("0", "-1"):
+            assert main(["sweep", "--spec", spec, "--shards", shards]) == 2
             err = capsys.readouterr().err
-            assert f"error: max_workers must be at least 1, got {workers}" in err
+            assert f"error: shards must be positive, got {shards}" in err
+
+    def test_collected_sweep_takes_shards(self, capsys, tmp_path):
+        spec = self._spec_path(tmp_path)
+        assert main(["sweep", "--spec", spec]) == 0
+        single = capsys.readouterr().out
+        assert main(["sweep", "--spec", spec, "--shards", "2"]) == 0
+        sharded = capsys.readouterr().out
+        assert "shards(2):vectorized" in sharded
+        table = single.split("\n")[:5]
+        assert sharded.split("\n")[:5] == table
 
     def test_sweep_missing_spec_file_reports_error(self, tmp_path, capsys):
         code = main(["sweep", "--spec", str(tmp_path / "missing.yaml")])
@@ -367,13 +376,19 @@ class TestStreamingSweepCommand:
         assert sharded.read_bytes() == single.read_bytes()
 
     def test_workers_rejected_with_shards(self, capsys, tmp_path):
-        for workers in ("0", "7"):
-            assert main([
-                "sweep", "--spec", self._spec_path(tmp_path),
-                "--out", str(tmp_path / "rows.jsonl"),
-                "--shards", "2", "--workers", workers,
-            ]) == 2
-            assert "max_workers" in capsys.readouterr().err
+        # Shard worker processes are the one parallel path: there is no
+        # worker count to set, with --shards or without.
+        for extra in (["--shards", "2"], []):
+            with pytest.raises(SystemExit) as excinfo:
+                main([
+                    "sweep", "--spec", self._spec_path(tmp_path),
+                    "--out", str(tmp_path / "rows.jsonl"),
+                    *extra, "--workers", "7",
+                ])
+            assert excinfo.value.code == 2
+            assert "unrecognized arguments: --workers" in (
+                capsys.readouterr().err
+            )
 
     def test_stream_requires_out(self, capsys, tmp_path):
         assert main([
@@ -385,8 +400,8 @@ class TestStreamingSweepCommand:
         self, capsys, tmp_path
     ):
         spec = self._spec_path(tmp_path)
-        for flags in (["--progress"], ["--shards", "2"],
-                      ["--delta"], ["--tile-scenarios", "4"]):
+        for flags in (["--progress"], ["--delta"],
+                      ["--tile-scenarios", "4"]):
             assert main(["sweep", "--spec", spec, *flags]) == 2
             err = capsys.readouterr().err
             assert f"{flags[0]} only applies with --out or --store" in err
@@ -406,11 +421,11 @@ class TestStreamingSweepCommand:
         assert not csv_path.exists()
 
     def test_chunk_size_honoured_without_stream(self, capsys, tmp_path):
-        # --chunk-size applies to the collected path too (pooled
-        # backends chunk their work submission by it).
+        # --chunk-size applies to the collected path too, sharded or
+        # not.
         assert main([
             "sweep", "--spec", self._spec_path(tmp_path),
-            "--backend", "thread", "--chunk-size", "1",
+            "--shards", "2", "--chunk-size", "1",
         ]) == 0
         assert "3 scenarios" in capsys.readouterr().out
 
@@ -712,6 +727,25 @@ class TestStoreCommand:
         out = capsys.readouterr().out
         assert "delta: 0/3 tiles executed (3 skipped" in out
 
+    def test_sweep_delta_with_shards(self, capsys, tmp_path):
+        store = str(tmp_path / "store")
+        spec = self._spec_path(tmp_path)
+        assert main(["sweep", "--spec", spec, "--store", store,
+                     "--tile-scenarios", "1", "--delta",
+                     "--shards", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "backend=shards(2):vectorized" in out
+        assert "delta: 3/3 tiles executed" in out
+        reference = str(tmp_path / "reference")
+        assert main(["sweep", "--spec", spec, "--store", reference,
+                     "--tile-scenarios", "1"]) == 0
+
+        def files(root):
+            return {path.relative_to(root): path.read_bytes()
+                    for path in root.rglob("*") if path.is_file()}
+
+        assert files(tmp_path / "store") == files(tmp_path / "reference")
+
     def test_store_flag_combinations_rejected(self, capsys, tmp_path):
         spec = self._spec_path(tmp_path)
         store = str(tmp_path / "store")
@@ -722,9 +756,6 @@ class TestStoreCommand:
         assert main(["sweep", "--spec", spec,
                      "--store", store, "--out", str(tmp_path / "r.jsonl"),
                      "--delta"]) == 2
-        # --delta under sharding
-        assert main(["sweep", "--spec", spec,
-                     "--store", store, "--delta", "--shards", "2"]) == 2
         # --tile-scenarios without --store
         assert main(["sweep", "--spec", spec,
                      "--out", str(tmp_path / "r.jsonl"),

@@ -55,7 +55,6 @@ from repro.engine import (
     get_pipeline,
     lower,
     run_sweep,
-    run_sweep_sharded,
     run_sweep_streaming,
 )
 from repro.experiment import run_panel
@@ -669,7 +668,7 @@ def test_perf_sharded_sweep_coordinator(
 
     sharded_path = tmp_path / "sharded.jsonl"
     start = time.perf_counter()
-    sharded_meta = run_sweep_sharded(
+    sharded_meta = run_sweep_streaming(
         sweep, shards=4, chunk_size=16384,
         sinks=(JsonlSink(str(sharded_path)),),
     )
@@ -713,7 +712,7 @@ def test_perf_sharded_sweep_coordinator(
     killed_path = tmp_path / "killed_store"
     with mock.patch.object(TileWriter, "write_tile", dying_write_tile):
         try:
-            run_sweep_sharded(
+            run_sweep_streaming(
                 sweep, shards=4, chunk_size=16384,
                 sinks=(store_sink(killed_path),),
             )
@@ -733,7 +732,7 @@ def test_perf_sharded_sweep_coordinator(
     )
     assert delta_meta["tiles_executed"] == 100 - killed_at
     whole_path = tmp_path / "whole_store"
-    run_sweep_sharded(
+    run_sweep_streaming(
         sweep, shards=4, chunk_size=16384, sinks=(store_sink(whole_path),),
     )
     assert _store_digest(killed_path) == _store_digest(whole_path), (
@@ -749,7 +748,7 @@ def test_perf_sharded_sweep_coordinator(
             "S1.dependence": [round(0.001 * i, 4) for i in range(1000)],
         },
     )
-    rounds_meta = benchmark(lambda: run_sweep_sharded(
+    rounds_meta = benchmark(lambda: run_sweep_streaming(
         rounds_sweep, shards=4, chunk_size=16384,
         sinks=(JsonlSink(str(tmp_path / "rounds.jsonl")),),
     ))

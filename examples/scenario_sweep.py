@@ -19,7 +19,7 @@ The same sweep is available to the command line as
         --spec examples/sweep_spec.yaml --csv sweep.csv --limit 10
 """
 
-from repro.engine import ResultCache, ScenarioSpec, SweepSpec, run_scenario, run_sweep
+from repro.engine import ResultCache, ScenarioSpec, SweepSpec, run_sweep
 
 # ---------------------------------------------------------------- #
 # 1. A single scenario: the paper's anchor judgement after 1,000
@@ -29,7 +29,7 @@ scenario = ScenarioSpec(
     pipeline="survival_update",
     params={"mode": 0.003, "sigma": 0.9, "demands": 1000, "bound": 1e-2},
 )
-single = run_scenario(scenario)
+single = run_sweep([scenario])[0]
 print("single scenario:", {k: round(v, 6) for k, v in single.values.items()})
 
 # ---------------------------------------------------------------- #

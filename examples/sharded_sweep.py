@@ -10,8 +10,8 @@ This example walks the coordinator:
 1. **shard** — split a plan's window into 4 windows of near-equal
    scenario counts and check the invariant ``concat(shards) == whole``;
 2. **dispatch** — run the sweep across 4 worker processes with
-   :func:`run_sweep_sharded` and compare bytes with the single-process
-   stream;
+   ``run_sweep_streaming(shards=4)`` and compare bytes with the
+   single-process stream;
 3. **recover** — kill a sharded run into a tile store part-way and
    finish it with ``delta=True, shards=4``: the tiles it committed are
    skipped, the rest run across the workers, and the finished store is
@@ -42,7 +42,6 @@ from repro.engine import (
     JsonlSink,
     SweepSpec,
     lower,
-    run_sweep_sharded,
     run_sweep_streaming,
 )
 from repro.store import TileSink, TileWriter
@@ -83,8 +82,8 @@ sharded_path = workdir / "sharded.jsonl"
 
 run_sweep_streaming(sweep, sinks=(JsonlSink(str(single_path)),),
                     chunk_size=1024)
-meta = run_sweep_sharded(sweep, shards=4, chunk_size=1024,
-                         sinks=(JsonlSink(str(sharded_path)),))
+meta = run_sweep_streaming(sweep, shards=4, chunk_size=1024,
+                           sinks=(JsonlSink(str(sharded_path)),))
 print(f"sharded: {meta['rows']} rows via {meta['backend']} "
       f"in {meta['elapsed_s']:.2f}s")
 
@@ -131,8 +130,8 @@ def dying_write_tile(writer, tile, *args, **kwargs):
 killed = workdir / "killed_store"
 with mock.patch.object(TileWriter, "write_tile", dying_write_tile):
     try:
-        run_sweep_sharded(sweep, shards=4, chunk_size=1024,
-                          sinks=(store_sink(killed),))
+        run_sweep_streaming(sweep, shards=4, chunk_size=1024,
+                            sinks=(store_sink(killed),))
     except Killed:
         pass
 assert not (killed / "manifest.json").exists()
@@ -146,7 +145,7 @@ print(f"delta: skipped {finished['tiles_skipped']} committed tiles, "
 assert (finished["tiles_skipped"], finished["tiles_executed"]) == (12, 8)
 
 whole = workdir / "whole_store"
-run_sweep_sharded(sweep, shards=4, chunk_size=1024,
-                  sinks=(store_sink(whole),))
+run_sweep_streaming(sweep, shards=4, chunk_size=1024,
+                    sinks=(store_sink(whole),))
 assert store_digest(killed) == store_digest(whole)
 print("finished store is byte-identical to an uninterrupted 4-shard run")

@@ -394,9 +394,9 @@ def compile_case(case: QuantifiedCase) -> CompiledCase:
 def load_case(path) -> QuantifiedCase:
     """Load a case file, cached by resolved path + (mtime, size, inode).
 
-    Sweep resolution touches the case file once per scenario; the
-    ``"arguments.case_file"`` cache region makes that a dictionary
-    lookup while still noticing edits on disk.
+    A sweep reads each case file once, when its plan is lowered; the
+    ``"arguments.case_file"`` cache region makes repeated loads a
+    dictionary lookup while still noticing edits on disk.
     """
     resolved = os.path.abspath(str(path))
     try:

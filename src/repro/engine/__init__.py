@@ -16,10 +16,9 @@ fast:
 * :func:`run_sweep_streaming` — the same execution core, chunk by chunk
   through pluggable sinks (:class:`JsonlSink`, :class:`CsvSink`,
   :class:`MemorySink`) in constant memory — the million-scenario path;
-* ``shards=k`` on either (or :func:`run_sweep_sharded`) — the engine's
-  one parallel path: the run's window split across worker processes
-  with strictly ordered merge and worker-death retry
-  (:mod:`~repro.engine.coordinator`); a killed run written to a
+* ``shards=k`` on either — the engine's one parallel path: the run's
+  window split across worker processes with strictly ordered merge and
+  worker-death retry (:mod:`~repro.engine.coordinator`); a killed run written to a
   :class:`repro.store.TileSink` is finished by ``delta=True``;
 * :class:`ResultCache` — content-keyed memoisation of finished
   scenarios, optionally disk-persistent (a region of the unified
@@ -30,10 +29,12 @@ fast:
   updates, SIL classification, growth-model SIL fits, elicitation
   pooling and calibration, ALARP/ACARP, standards mappings, the
   conservatism audit, BBN queries, panel simulation, and whole-case
-  confidence through the compiled case engine), plus the batch
-  dispatch layer (:func:`register_batch_kernel`) that routes
-  ``run_batch`` to a vectorised kernel — every shipped pipeline has
-  one, so whole sweeps run as array passes end to end;
+  confidence through the compiled case engine), each declaring its
+  configuration parameters and its output :class:`Column` schema, plus
+  the batch dispatch layer (:func:`register_batch_kernel`) that routes
+  ``run_batch`` to a vectorised kernel once per configuration group —
+  every shipped pipeline has one, so whole sweeps run as array passes
+  end to end;
 * :func:`load_sweeps` — single- or multi-sweep YAML/JSON spec files.
 
 Quickstart::
@@ -50,10 +51,10 @@ Quickstart::
 
 from . import kernels
 from .cache import ResultCache
-from .coordinator import run_sweep_sharded
-from .executor import BACKENDS, run_scenario, run_sweep
-from .kernels import survival_sweep, survival_sweep_columns
+from .executor import BACKENDS, run_sweep
+from .kernels import survival_sweep_columns
 from .pipelines import (
+    Column,
     Pipeline,
     available_pipelines,
     get_pipeline,
@@ -69,9 +70,7 @@ from .stream import run_sweep_streaming, stream_results
 __all__ = [
     "kernels",
     "ResultCache",
-    "run_sweep_sharded",
     "BACKENDS",
-    "run_scenario",
     "run_sweep",
     "run_sweep_streaming",
     "stream_results",
@@ -83,8 +82,8 @@ __all__ = [
     "MemorySink",
     "JsonlSink",
     "CsvSink",
-    "survival_sweep",
     "survival_sweep_columns",
+    "Column",
     "Pipeline",
     "available_pipelines",
     "get_pipeline",

@@ -15,10 +15,10 @@ to a JSONL log that is replayed on construction, so a cache built in
 one process serves hits in the next.  That log is also how shard
 worker processes share a cache, so sharded runs need a ``path``.
 Stale replays are impossible by construction: cache keys are content
-hashes (pipelines fold referenced file content in via
-:meth:`~repro.engine.pipelines.Pipeline.cache_key`), so editing a spec
-or a case file changes the key and the old entry is simply never asked
-for again.
+hashes (:meth:`~repro.engine.plan.ExecutionPlan.cache_key` appends the
+hash of every referenced file, read once when the plan is lowered), so
+editing a spec or a case file changes the next run's keys and the old
+entry is simply never asked for again.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ is the directly-addressed ``i``-th child of the master seed — so
 distribution is coordination, not re-derivation.  This module adds that
 coordination with nothing beyond the stdlib:
 
-* ``run_sweep_streaming(shards=k)`` (or :func:`run_sweep_sharded`)
-  splits the run's window into ``k`` parts of near-equal scenario
-  counts (:meth:`~repro.engine.plan.PlanWindow.split`) and runs each in
+* ``run_sweep_streaming(shards=k)`` splits the run's window into ``k``
+  parts of near-equal scenario counts
+  (:meth:`~repro.engine.plan.PlanWindow.split`) and runs each in
   its own worker **process** through the ordinary in-process executor:
   the worker decodes, runs and encodes its own rows and spills each
   chunk to disk.  :class:`ShardedChunks` hands the chunks back to the
@@ -21,7 +21,8 @@ coordination with nothing beyond the stdlib:
   liveness polling and answered with bounded retry: a fresh worker is
   assigned the dead one's *remaining* scenarios.  Pipeline errors, by
   contrast, propagate immediately — they are deterministic and would
-  fail again — naming the pipeline and the failing chunk's scenarios.
+  fail again — with the worker's executor text, which names the
+  pipeline and the failing chunk's scenarios.
 
 Workers only ever write their spill files, so a killed coordinator
 leaves nothing behind that could keep writing into its outputs.  It is
@@ -38,15 +39,15 @@ import pickle
 import queue as queue_module
 import shutil
 import tempfile
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 from ..errors import DomainError
 from ..telemetry import metrics
 from .cache import ResultCache
 from .plan import PlanWindow
-from .sinks import JsonlSink, ResultSink
+from .sinks import JsonlSink
 
-__all__ = ["ShardedChunks", "check_sharding", "run_sweep_sharded"]
+__all__ = ["ShardedChunks", "check_sharding"]
 
 _M_RETRIES = metrics.counter("coordinator.retries")
 
@@ -73,7 +74,9 @@ def _shard_worker(window: PlanWindow, backend: str,
     speed while the parent drains shards in order: backpressure would
     serialise the sweep, and unbounded queues would buffer it in
     memory.  Ends with ``("done", total_rows)``; failures put
-    ``("error", message)``; an abrupt death puts nothing, which the
+    ``("error", message)`` — a pipeline failure's message is the one
+    :func:`~repro.engine.stream.stream_results` raised, naming the
+    pipeline and scenarios; an abrupt death puts nothing, which the
     parent detects by liveness polling.
     """
     done = 0
@@ -97,16 +100,10 @@ def _shard_worker(window: PlanWindow, backend: str,
                 done += len(results)
         out_queue.put(("done", done))
     except BaseException as exc:  # noqa: BLE001 — surfaced by the parent
-        failed = next(window.take(done, window.n_scenarios).chunks(), None)
-        where = (
-            f", scenarios [{failed.start}, {failed.stop})" if failed else ""
-        )
+        message = (str(exc) if isinstance(exc, DomainError)
+                   else f"{type(exc).__name__}: {exc}")
         try:
-            out_queue.put((
-                "error",
-                f"pipeline {window.plan.pipeline_name!r}{where}: "
-                f"{type(exc).__name__}: {exc}",
-            ))
+            out_queue.put(("error", message))
         except Exception:
             pass
 
@@ -284,33 +281,3 @@ class ShardedChunks:
                 if state.part_handle is not None:
                     state.part_handle.close()
             shutil.rmtree(spill_dir, ignore_errors=True)
-
-
-def run_sweep_sharded(
-    sweep,
-    shards: int = 1,
-    backend: str = "auto",
-    chunk_size: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    sinks: Sequence[ResultSink] = (),
-    progress=None,
-    max_retries: int = 2,
-) -> Dict[str, Any]:
-    """Execute a sweep across ``shards`` worker processes: shorthand for
-    :func:`~repro.engine.stream.run_sweep_streaming` with ``shards=``
-    (same sweep inputs, same sinks, same ordered output, same meta).
-    ``max_retries`` bounds how many times a *dying* worker (not a
-    failing pipeline) is replaced before the sweep errors out.
-    """
-    from .stream import run_sweep_streaming
-
-    return run_sweep_streaming(
-        sweep,
-        backend=backend,
-        chunk_size=chunk_size,
-        cache=cache,
-        sinks=sinks,
-        progress=progress,
-        shards=shards,
-        max_retries=max_retries,
-    )

@@ -33,44 +33,15 @@ from __future__ import annotations
 import time
 from typing import Optional, Sequence, Union
 
-from ..telemetry import tracer
 from .cache import ResultCache
-from .pipelines import get_pipeline
-from .results import ResultSet, ScenarioResult
+from .results import ResultSet
 from .sinks import MemorySink
 from .spec import ScenarioSpec, SweepSpec
 from .stream import BACKENDS, run_sweep_streaming
 
-__all__ = ["run_scenario", "run_sweep", "BACKENDS"]
+__all__ = ["run_sweep", "BACKENDS"]
 
 SweepLike = Union[SweepSpec, Sequence[ScenarioSpec]]
-
-
-def _cacheable(pipeline, spec: ScenarioSpec) -> bool:
-    """A result may be memoised only if rerunning it would reproduce it:
-    always for deterministic pipelines, otherwise only with a seed."""
-    return pipeline.deterministic or spec.seed is not None
-
-
-def run_scenario(
-    spec: ScenarioSpec,
-    cache: Optional[ResultCache] = None,
-) -> ScenarioResult:
-    """Execute a single scenario (through the cache when one is given)."""
-    pipeline = get_pipeline(spec.pipeline)
-    with tracer.span("scenario.run", pipeline=spec.pipeline) as span:
-        use_cache = cache is not None and _cacheable(pipeline, spec)
-        if use_cache:
-            key = pipeline.cache_key(spec)
-            cached = cache.get(key)
-            if cached is not None:
-                span.set(from_cache=True)
-                return ScenarioResult(spec, cached, from_cache=True)
-        values = pipeline.run(dict(spec.params), spec.seed)
-        if use_cache:
-            cache.put(key, values)
-        span.set(from_cache=False)
-        return ScenarioResult(spec, values)
 
 
 def run_sweep(

@@ -8,16 +8,17 @@ agree with the per-scenario pipelines to 1e-12 (most agree bit-for-bit).
 
 Kernel families:
 
-* **survival** — tail cut-off sweeps over lognormal priors
-  (:func:`survival_sweep`), with `np.unique` dedup of shared priors and
-  grouping by grid configuration;
+* **survival** — tail cut-off sweeps over lognormal priors on one grid
+  (:func:`survival_sweep_columns`), with `np.unique` dedup of shared
+  priors;
 * **growth** — Jelinski-Moranda profile-likelihood grids
   (:func:`jm_profile_sweep`) and Littlewood-Verrall lattice grids
   (:func:`lv_lattice_sweep`) over many simulated histories at once;
 * **lognormal summaries** — closed-form means/modes/confidences and
   SIL band classification for parameter arrays
   (:func:`lognormal_moments`, :func:`band_confidence_sweep`,
-  :func:`granted_levels`, :func:`band_levels_of`);
+  :func:`granted_levels`, :func:`band_levels_of`; "no level" is
+  :data:`NO_LEVEL` in their int64 results);
 * **risk / conservatism** — batched ALARP + ACARP verdicts
   (:func:`alarp_sweep`) and the beta-factor 1oo2 conservatism audit
   (:func:`conservatism_sweep`);
@@ -29,18 +30,18 @@ Kernel families:
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..distributions import lognormal_pdf_grid
 from ..errors import DomainError
-from ..numerics import log_grid, norm_cdf, norm_ppf
+from ..numerics import norm_cdf, norm_ppf
 from ..telemetry import tracer
 from ..update import survival_update_batch
 
 __all__ = [
-    "survival_sweep",
+    "NO_LEVEL",
     "survival_sweep_columns",
     "jm_profile_sweep",
     "lv_lattice_sweep",
@@ -60,6 +61,9 @@ __all__ = [
 #: Scenario-chunk size for the (S, G, n) growth-model grids, keeping the
 #: largest temporary around ten million elements.
 _GROWTH_CHUNK = 256
+
+#: The SIL level of "no level" in int64 level arrays (levels are >= 1).
+NO_LEVEL = -1
 
 
 def _traced_kernel(kernel):
@@ -113,48 +117,6 @@ def survival_sweep_columns(
 
     batch = survival_update_batch(prior_rows, demands_arr, grid)
     return batch.summaries(bound=bounds_arr)
-
-
-@_traced_kernel
-def survival_sweep(
-    param_dicts: Sequence[Dict],
-) -> List[Dict[str, float]]:
-    """Run many resolved ``survival_update`` scenarios in batched passes.
-
-    ``param_dicts`` carry the pipeline's resolved parameters (``mode``,
-    ``sigma``, ``demands``, ``bound``, ``grid_low``, ``grid_high``,
-    ``points_per_decade``).  Scenarios are grouped by grid configuration;
-    each group is one vectorised kernel call.
-    """
-    results: List[Dict[str, float]] = [None] * len(param_dicts)  # type: ignore
-    groups: Dict[tuple, List[int]] = {}
-    for index, params in enumerate(param_dicts):
-        grid_key = (
-            float(params["grid_low"]),
-            float(params["grid_high"]),
-            int(params["points_per_decade"]),
-        )
-        groups.setdefault(grid_key, []).append(index)
-
-    for (low, high, ppd), indices in groups.items():
-        grid = log_grid(low, high, ppd)
-        columns = survival_sweep_columns(
-            [param_dicts[i]["mode"] for i in indices],
-            [param_dicts[i]["sigma"] for i in indices],
-            [param_dicts[i]["demands"] for i in indices],
-            [param_dicts[i]["bound"] for i in indices],
-            grid,
-        )
-        for position, index in enumerate(indices):
-            # "posterior_mode", not "mode": the prior's mode is already a
-            # scenario parameter and records merge params with values.
-            results[index] = {
-                "mean": float(columns["mean"][position]),
-                "median": float(columns["median"][position]),
-                "posterior_mode": float(columns["mode"][position]),
-                "confidence": float(columns["confidence"][position]),
-            }
-    return results
 
 
 # --------------------------------------------------------------------- #
@@ -361,42 +323,33 @@ def band_confidence_sweep(mu, sigma, scheme) -> Dict[int, np.ndarray]:
 
 
 def granted_levels(
-    confidence_by_level: Dict[int, np.ndarray],
-    required,
-    n_scenarios: int,
-) -> List:
+    confidence_by_level: Dict[int, np.ndarray], required
+) -> np.ndarray:
     """Best band level claimable at each scenario's required confidence.
 
     The batched counterpart of ``sil.classify_by_confidence``: entry
     ``i`` is the highest level whose confidence meets ``required[i]``, or
-    ``None``.  ``required`` broadcasts against the scenario count.
+    :data:`NO_LEVEL`.
     """
-    required = np.broadcast_to(
-        np.asarray(required, dtype=float), (n_scenarios,)
-    )
+    required = np.asarray(required, dtype=float)
     if np.any((required <= 0) | (required >= 1)):
         raise DomainError("required confidence must lie strictly in (0, 1)")
-    granted: List = [None] * n_scenarios
+    granted = np.full(required.shape, NO_LEVEL, dtype=np.int64)
     for level in sorted(confidence_by_level):  # ascending levels
-        meets = confidence_by_level[level] >= required
-        for index in np.nonzero(meets)[0]:
-            granted[index] = level
+        granted[confidence_by_level[level] >= required] = level
     return granted
 
 
-def band_levels_of(values, scheme) -> List:
+def band_levels_of(values, scheme) -> np.ndarray:
     """Band levels containing each value (the batched ``BandScheme.level_of``
-    including its cap: values better than the best band saturate to it)."""
+    including its cap: values better than the best band saturate to it),
+    :data:`NO_LEVEL` outside every band."""
     values = np.asarray(values, dtype=float)
-    levels: List = [None] * values.size
+    levels = np.full(values.shape, NO_LEVEL, dtype=np.int64)
     for band in scheme:
-        inside = (band.lower <= values) & (values < band.upper)
-        for index in np.nonzero(inside)[0]:
-            levels[index] = band.level
+        levels[(band.lower <= values) & (values < band.upper)] = band.level
     best = scheme.band(scheme.levels[-1])
-    saturated = (values >= 0) & (values < best.lower)
-    for index in np.nonzero(saturated)[0]:
-        levels[index] = best.level
+    levels[(values >= 0) & (values < best.lower)] = best.level
     return levels
 
 

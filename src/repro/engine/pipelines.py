@@ -1,17 +1,45 @@
 """Named pipelines the sweep engine can run.
 
 A *pipeline* adapts one of the library's analysis entry points to the
-engine's declarative world: it names the parameters a scenario may bind,
-fills defaults, validates, runs, and returns a flat ``{column: scalar}``
-dict ready for tabulation.
+engine's declarative world.  Its definition is a handful of
+declarations plus the scalar oracle:
 
-Batch execution goes through a **dispatch layer**: vectorised batch
-kernels register against a pipeline name with
-:func:`register_batch_kernel`, :attr:`Pipeline.supports_batch` reports
-whether one is registered, and :meth:`Pipeline.run_batch` dispatches to
-the kernel when present and falls back to a plain loop over
-:meth:`Pipeline.run` otherwise.  Every registered kernel reproduces the
-scalar path to 1e-12.
+``defaults`` / ``required``
+    The parameter schema: a scenario may bind any subset of these names
+    (unknown names are rejected), and ``required`` ones must be bound.
+    :meth:`Pipeline.resolve` merges, validates and normalises one
+    scenario's parameters.
+``content_params``
+    Parameters whose values name content outside the spec (a case
+    file).  :func:`~repro.engine.plan.lower` loads each value once
+    (:meth:`Pipeline.load`) into the plan's *snapshot*; cache keys and
+    fingerprints fold the snapshot's content hashes, and resolution
+    against it hands the loaded content on in place of the name, so
+    every row of a run sees one version of each file.
+``config``
+    The parameters that fix a kernel's *configuration* rather than its
+    arithmetic (band scheme, growth model, grid sizes, case file).
+    :meth:`Pipeline.run_batch` groups a chunk by their resolved values
+    and calls the batch kernel once per group.
+``columns(config)``
+    The value columns rows of one configuration carry, in row order:
+    name, NumPy dtype and the *nodata* value that stands for ``None``
+    in arrays (:class:`Column`, the datacube ``measurements:`` idiom).
+    Sinks and the tile store read this schema from the plan instead of
+    guessing it from rows; :func:`register` refuses a pipeline that
+    does not declare it.
+``run(params, seed)``
+    The scalar path, returning one ``{column: value}`` dict: the
+    ``serial`` backend and the oracle every kernel must match to 1e-12.
+
+Batch kernels register against a pipeline name with
+:func:`register_batch_kernel`.  A kernel is called as
+``kernel(config, params, seeds)`` with one configuration group's
+resolved configuration, its resolved parameter dicts and its seeds, and
+returns ``{column: ndarray}`` in the declared schema (nodata where a
+row has no value); one adapter in :meth:`Pipeline.run_batch` turns the
+arrays back into row dicts (``ndarray.tolist()``, nodata to ``None``).
+Kernels never resolve parameters themselves: the plan resolved them.
 
 Registered pipelines:
 
@@ -66,6 +94,7 @@ Registered pipelines:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,8 +103,10 @@ from ..errors import DomainError
 from ..numerics import ensure_rng
 from ..telemetry import tracer
 from . import kernels as _kernels
+from .kernels import NO_LEVEL
 
 __all__ = [
+    "Column",
     "Pipeline",
     "register",
     "register_batch_kernel",
@@ -84,16 +115,54 @@ __all__ = [
 ]
 
 RunItem = Tuple[Dict[str, Any], Optional[int]]
-BatchKernel = Callable[["Pipeline", Sequence[RunItem]], List[Dict[str, Any]]]
+BatchKernel = Callable[
+    [Dict[str, Any], List[Dict[str, Any]], List[Optional[int]]],
+    Dict[str, np.ndarray],
+]
+#: Content a plan loaded at lower(): ``(parameter, value) -> (content,
+#: content hash)``.
+Snapshot = Mapping[Tuple[str, Any], Tuple[Any, str]]
+
+
+@dataclass(frozen=True)
+class Column:
+    """One declared value column: name, NumPy dtype and ``nodata``, the
+    array value standing for ``None`` (``None``: the column never lacks
+    a value; NaN and integer sentinels are supported)."""
+
+    name: str
+    dtype: str = "float64"
+    nodata: Any = None
+
+    def to_array(self, values: Sequence[Any]) -> np.ndarray:
+        """Row values as an array of the declared dtype."""
+        if self.nodata is not None:
+            values = [self.nodata if value is None else value
+                      for value in values]
+        return np.asarray(values, dtype=self.dtype)
+
+    def to_rows(self, array: np.ndarray) -> List[Any]:
+        """Array values as Python row values, nodata back to ``None``."""
+        values = array.tolist()
+        if self.nodata is None:
+            return values
+        if self.nodata != self.nodata:  # NaN
+            return [None if value != value else value for value in values]
+        return [None if value == self.nodata else value for value in values]
+
+
+def _floats(*names: str) -> Tuple[Column, ...]:
+    return tuple(Column(name) for name in names)
+
+
+def _plane(params: Sequence[Mapping[str, Any]], name: str) -> np.ndarray:
+    """One parameter across a group's rows as a float array."""
+    return np.array([p[name] for p in params], dtype=float)
 
 
 class Pipeline:
-    """Base class: parameter schema + scalar execution.
-
-    ``defaults`` double as the parameter schema: a scenario may bind any
-    subset of these names (unknown names are rejected), and ``required``
-    names must be bound.
-    """
+    """Base class: parameter schema, declared output schema and scalar
+    execution (see the module docstring for the contract)."""
 
     name: str = ""
     defaults: Dict[str, Any] = {}
@@ -101,22 +170,22 @@ class Pipeline:
     #: False for pipelines that draw fresh entropy when the scenario has
     #: no seed; the executor skips the result cache for those runs.
     deterministic: bool = True
-    #: Parameter names whose *values* reference content outside the spec
-    #: (e.g. a file path).  Pipelines that override :meth:`cache_key` to
-    #: fold external content must list the parameters carrying the
-    #: reference here, so plan/region fingerprints can anchor one cache
-    #: key per distinct referenced value — a fingerprint that hashed only
-    #: one scenario would miss edits to the *other* files when such a
-    #: parameter is swept as a grid axis.
+    #: Parameters whose values name content outside the spec (a file
+    #: path), loaded once per plan through :meth:`load`.
     content_params: Tuple[str, ...] = ()
+    #: Parameters the batch kernel is configured by; a chunk runs as one
+    #: kernel call per distinct combination of their resolved values.
+    config: Tuple[str, ...] = ()
 
-    def resolve(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    def resolve(self, params: Mapping[str, Any],
+                snapshot: Optional[Snapshot] = None) -> Dict[str, Any]:
         """Merge ``params`` over the defaults, validating names.
 
         Idempotent: resolving already-resolved parameters is a no-op, so
         the executor can validate eagerly and pass the resolved dicts on.
         Unknown and missing names are reported sorted, so failures read
-        identically on every Python version.
+        identically on every Python version.  ``snapshot`` is the plan's
+        loaded content; only pipelines with ``content_params`` read it.
         """
         unknown = set(params) - set(self.defaults)
         if unknown:
@@ -135,20 +204,20 @@ class Pipeline:
             )
         return merged
 
+    def load(self, name: str, value: Any) -> Tuple[Any, str]:
+        """What content parameter ``name`` = ``value`` refers to, loaded,
+        and its content hash (what cache keys and fingerprints fold)."""
+        raise NotImplementedError
+
+    def columns(self, config: Mapping[str, Any]) -> Tuple[Column, ...]:
+        """The value columns of rows whose resolved configuration
+        parameters are ``config``, in row order."""
+        raise NotImplementedError
+
     @property
     def supports_batch(self) -> bool:
         """Whether a vectorised batch kernel is registered for this name."""
         return self.name in _BATCH_KERNELS
-
-    def cache_key(self, spec) -> str:
-        """Result-cache key for one :class:`~repro.engine.spec.ScenarioSpec`.
-
-        Defaults to the spec's own content key.  Pipelines whose results
-        depend on state *outside* the spec (a file named by a parameter,
-        say) must fold that state in, or an edited file would silently
-        serve stale cached results.
-        """
-        return spec.key()
 
     def run(self, params: Mapping[str, Any],
             seed: Optional[int] = None) -> Dict[str, Any]:
@@ -156,12 +225,11 @@ class Pipeline:
         raise NotImplementedError
 
     def run_batch(self, items: Sequence[RunItem]) -> List[Dict[str, Any]]:
-        """Execute many scenarios through the batch dispatch layer.
+        """Execute resolved ``(params, seed)`` items, one row dict each.
 
-        Dispatches to the batch kernel registered for this pipeline's
-        name when there is one, and falls back cleanly to a loop over
-        :meth:`run` otherwise — so callers can always chunk through
-        ``run_batch`` regardless of vectorisation.
+        Groups the items by their ``config`` values, calls the batch
+        kernel once per group and turns its declared columns into row
+        dicts; without a registered kernel it loops over :meth:`run`.
         """
         kernel = _BATCH_KERNELS.get(self.name)
         with tracer.span("kernel.dispatch", pipeline=self.name,
@@ -169,7 +237,22 @@ class Pipeline:
                          vectorized=kernel is not None):
             if kernel is None:
                 return [self.run(params, seed) for params, seed in items]
-            return kernel(self, items)
+            groups: Dict[tuple, List[int]] = {}
+            for index, (params, _seed) in enumerate(items):
+                key = tuple(params[name] for name in self.config)
+                groups.setdefault(key, []).append(index)
+            rows: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
+            for key, indices in groups.items():
+                config = dict(zip(self.config, key))
+                arrays = kernel(config, [items[i][0] for i in indices],
+                                [items[i][1] for i in indices])
+                schema = self.columns(config)
+                names = [column.name for column in schema]
+                values = zip(*(column.to_rows(arrays[column.name])
+                               for column in schema))
+                for index, row in zip(indices, values):
+                    rows[index] = dict(zip(names, row))
+            return rows
 
 
 _REGISTRY: Dict[str, Pipeline] = {}
@@ -177,9 +260,18 @@ _BATCH_KERNELS: Dict[str, BatchKernel] = {}
 
 
 def register(pipeline: Pipeline) -> Pipeline:
-    """Register a pipeline instance under its name."""
+    """Register a pipeline instance under its name.
+
+    The pipeline must declare its output schema (``columns``): sinks
+    and stores read it from the plan, and nothing guesses it from rows.
+    """
     if not pipeline.name:
         raise DomainError("pipeline needs a non-empty name")
+    if type(pipeline).columns is Pipeline.columns:
+        raise DomainError(
+            f"pipeline {pipeline.name!r} declares no output schema: "
+            f"define columns(config)"
+        )
     _REGISTRY[pipeline.name] = pipeline
     return pipeline
 
@@ -187,9 +279,9 @@ def register(pipeline: Pipeline) -> Pipeline:
 def register_batch_kernel(pipeline_name: str):
     """Decorator: register a vectorised batch kernel for a pipeline name.
 
-    The kernel is called as ``kernel(pipeline, items)`` with the pipeline
-    instance and the ``(params, seed)`` run items, and must return one
-    result dict per item, matching :meth:`Pipeline.run` to 1e-12.
+    The kernel is called as ``kernel(config, params, seeds)`` for one
+    configuration group and returns ``{column: ndarray}`` in the
+    pipeline's declared schema, matching :meth:`Pipeline.run` to 1e-12.
     """
     if not pipeline_name:
         raise DomainError("batch kernel needs a pipeline name")
@@ -233,15 +325,14 @@ def _band_scheme(name: str):
     return schemes[name]
 
 
-def _group_items(
-    resolved: Sequence[Dict[str, Any]], key_names: Sequence[str]
-) -> Dict[tuple, List[int]]:
-    """Indices of ``resolved`` grouped by a tuple of parameter values."""
-    groups: Dict[tuple, List[int]] = {}
-    for index, params in enumerate(resolved):
-        key = tuple(params[name] for name in key_names)
-        groups.setdefault(key, []).append(index)
-    return groups
+def _sil_confidences(scheme_name: str) -> Tuple[Column, ...]:
+    return _floats(*(f"sil{level}_confidence"
+                     for level in _band_scheme(scheme_name).levels))
+
+
+def _level(name: str) -> Column:
+    """A SIL level column: int64, with NO_LEVEL standing for ``None``."""
+    return Column(name, "int64", NO_LEVEL)
 
 
 # --------------------------------------------------------------------- #
@@ -264,11 +355,17 @@ class SurvivalUpdatePipeline(Pipeline):
         "points_per_decade": 400,
     }
     required = ("mode", "sigma")
+    config = ("grid_low", "grid_high", "points_per_decade")
 
-    def resolve(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    def resolve(self, params, snapshot=None):
         merged = super().resolve(params)
         merged["demands"] = _as_count(merged["demands"], "demands")
         return merged
+
+    def columns(self, config):
+        # "posterior_mode", not "mode": the prior's mode is already a
+        # scenario parameter and records merge params with values.
+        return _floats("mean", "median", "posterior_mode", "confidence")
 
     def run(self, params, seed=None):
         from ..distributions import LogNormalJudgement
@@ -295,9 +392,16 @@ class SurvivalUpdatePipeline(Pipeline):
 
 
 @register_batch_kernel("survival_update")
-def _survival_update_batch(pipeline, items):
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    return _kernels.survival_sweep(resolved)
+def _survival_update_batch(config, params, seeds):
+    from ..numerics import log_grid
+
+    grid = log_grid(float(config["grid_low"]), float(config["grid_high"]),
+                    int(config["points_per_decade"]))
+    columns = _kernels.survival_sweep_columns(
+        _plane(params, "mode"), _plane(params, "sigma"),
+        _plane(params, "demands"), _plane(params, "bound"), grid,
+    )
+    return {**columns, "posterior_mode": columns["mode"]}
 
 
 # --------------------------------------------------------------------- #
@@ -326,6 +430,17 @@ class TwoLegPosteriorPipeline(Pipeline):
         "leg1_validity", "leg1_sensitivity", "leg1_specificity",
         "leg2_validity", "leg2_sensitivity", "leg2_specificity",
     )
+    #: The kernel's CPT-plane parameters, in ``two_leg_cpt_planes`` order.
+    PLANES = (
+        "prior", "dependence",
+        "leg1_validity", "leg1_sensitivity", "leg1_specificity",
+        "leg1_noise",
+        "leg2_validity", "leg2_sensitivity", "leg2_specificity",
+        "leg2_noise",
+    )
+
+    def columns(self, config):
+        return _floats("single_leg", "both_legs", "gain", "doubt_reduction")
 
     @staticmethod
     def _legs(merged):
@@ -358,30 +473,12 @@ class TwoLegPosteriorPipeline(Pipeline):
 
 
 @register_batch_kernel("two_leg_posterior")
-def _two_leg_posterior_batch(pipeline, items):
+def _two_leg_posterior_batch(config, params, seeds):
     from ..arguments import two_leg_posterior_sweep
 
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-
-    def column(name):
-        return np.array([p[name] for p in resolved], dtype=float)
-
-    columns = two_leg_posterior_sweep(
-        column("prior"), column("dependence"),
-        column("leg1_validity"), column("leg1_sensitivity"),
-        column("leg1_specificity"), column("leg1_noise"),
-        column("leg2_validity"), column("leg2_sensitivity"),
-        column("leg2_specificity"), column("leg2_noise"),
+    return two_leg_posterior_sweep(
+        *(_plane(params, name) for name in TwoLegPosteriorPipeline.PLANES)
     )
-    return [
-        {
-            "single_leg": float(columns["single_leg"][i]),
-            "both_legs": float(columns["both_legs"][i]),
-            "gain": float(columns["gain"][i]),
-            "doubt_reduction": float(columns["doubt_reduction"][i]),
-        }
-        for i in range(len(resolved))
-    ]
 
 
 class BbnQueryPipeline(TwoLegPosteriorPipeline):
@@ -401,6 +498,15 @@ class BbnQueryPipeline(TwoLegPosteriorPipeline):
     # cached replay would freeze one random draw; the executor must not
     # memoise those runs.
     deterministic = False
+    config = ("n_samples",)
+
+    def resolve(self, params, snapshot=None):
+        merged = super().resolve(params)
+        merged["n_samples"] = _as_count(merged["n_samples"], "n_samples")
+        return merged
+
+    def columns(self, config):
+        return _floats("p_claim")
 
     def run(self, params, seed=None):
         from ..arguments import build_two_leg_network
@@ -414,7 +520,7 @@ class BbnQueryPipeline(TwoLegPosteriorPipeline):
         posterior = compile_network(network).likelihood_weighting(
             "claim",
             {"evidence_leg1": "true", "evidence_leg2": "true"},
-            n_samples=_as_count(merged["n_samples"], "n_samples"),
+            n_samples=merged["n_samples"],
             rng=ensure_rng(seed),
         )
         return {"p_claim": posterior["true"]}
@@ -426,42 +532,26 @@ _LW_CHUNK_ELEMENTS = 2_000_000
 
 
 @register_batch_kernel("bbn_query")
-def _bbn_query_batch(pipeline, items):
+def _bbn_query_batch(config, params, seeds):
     from ..arguments.multileg import _two_leg_template, two_leg_cpt_planes
 
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    seeds = [seed for _params, seed in items]
-    results: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
+    n_samples = config["n_samples"]
     evidence = {"evidence_leg1": "true", "evidence_leg2": "true"}
-    for (raw_samples,), indices in _group_items(
-        resolved, ["n_samples"]
-    ).items():
-        n_samples = _as_count(raw_samples, "n_samples")
-        chunk_size = max(1, _LW_CHUNK_ELEMENTS // max(n_samples, 1))
-        for start in range(0, len(indices), chunk_size):
-            chunk = indices[start:start + chunk_size]
-
-            def column(name):
-                return np.array(
-                    [resolved[i][name] for i in chunk], dtype=float
-                )
-
-            planes = two_leg_cpt_planes(
-                column("prior"), column("dependence"),
-                column("leg1_validity"), column("leg1_sensitivity"),
-                column("leg1_specificity"), column("leg1_noise"),
-                column("leg2_validity"), column("leg2_sensitivity"),
-                column("leg2_specificity"), column("leg2_noise"),
-            )
-            posterior = _two_leg_template().likelihood_weighting_batch(
-                "claim", evidence,
-                n_samples=n_samples,
-                rngs=[ensure_rng(seeds[i]) for i in chunk],
-                cpt_planes=planes,
-            )
-            for position, index in enumerate(chunk):
-                results[index] = {"p_claim": float(posterior[position, 0])}
-    return results
+    p_claim = np.empty(len(params))
+    step = max(1, _LW_CHUNK_ELEMENTS // max(n_samples, 1))
+    for start in range(0, len(params), step):
+        chunk = params[start:start + step]
+        planes = two_leg_cpt_planes(
+            *(_plane(chunk, name) for name in TwoLegPosteriorPipeline.PLANES)
+        )
+        posterior = _two_leg_template().likelihood_weighting_batch(
+            "claim", evidence,
+            n_samples=n_samples,
+            rngs=[ensure_rng(seed) for seed in seeds[start:start + step]],
+            cpt_planes=planes,
+        )
+        p_claim[start:start + len(chunk)] = posterior[:, 0]
+    return {"p_claim": p_claim}
 
 
 # --------------------------------------------------------------------- #
@@ -489,31 +579,30 @@ class CaseConfidencePipeline(Pipeline):
     defaults = {"case_file": None}
     required = ("case_file",)
     content_params = ("case_file",)
+    config = ("case_file",)
 
-    def cache_key(self, spec) -> str:
-        """Fold the case file's *content* into the cache key.
-
-        The spec names the case by path, so editing the file on disk
-        must invalidate cached sweep results, not replay them.
-        """
-        case_file = spec.params.get("case_file")
-        if case_file is None:
-            return spec.key()
+    def load(self, name, value):
         from ..arguments import load_case
 
-        return f"{spec.key()}:{load_case(case_file).content_hash()}"
+        case = load_case(value)
+        return case, case.content_hash()
 
-    def resolve(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        from ..arguments import load_case
+    def resolve(self, params, snapshot=None):
+        """Validate against the case's parameter space; the resolved
+        ``case_file`` is the loaded case itself — the snapshot's when
+        the plan holds it, else read from disk now."""
+        from ..arguments import QuantifiedCase
 
         params = dict(params)
-        case_file = params.pop("case_file", None)
-        if case_file is None:
+        case = params.pop("case_file", None)
+        if case is None:
             raise DomainError(
                 f"pipeline {self.name!r} missing required parameters: "
                 f"case_file"
             )
-        case = load_case(case_file)
+        if not isinstance(case, QuantifiedCase):
+            loaded = (snapshot or {}).get(("case_file", case))
+            case = loaded[0] if loaded else self.load("case_file", case)[0]
         space = case.parameter_defaults()
         unknown = set(params) - set(space)
         if unknown:
@@ -521,15 +610,24 @@ class CaseConfidencePipeline(Pipeline):
                 f"pipeline {self.name!r} got unknown parameters: "
                 f"{', '.join(sorted(unknown))}"
             )
-        merged: Dict[str, Any] = {"case_file": str(case_file), **space}
+        merged: Dict[str, Any] = {"case_file": case, **space}
         merged.update(params)
         return merged
 
-    def run(self, params, seed=None):
-        from ..arguments import load_case
+    def columns(self, config):
+        from ..arguments import compile_case
 
+        compiled = compile_case(config["case_file"])
+        goals = sorted(
+            identifier for identifier in compiled.node_ids
+            if compiled.case.graph.node(identifier).kind == "goal"
+        )
+        return _floats("top_confidence", "top_doubt",
+                       *(f"conf_{identifier}" for identifier in goals))
+
+    def run(self, params, seed=None):
         merged = self.resolve(params)
-        case = load_case(merged["case_file"])
+        case = merged["case_file"]
         overrides = {
             key: value for key, value in merged.items()
             if key != "case_file"
@@ -544,36 +642,21 @@ class CaseConfidencePipeline(Pipeline):
 
 
 @register_batch_kernel("case_confidence")
-def _case_confidence_batch(pipeline, items):
-    from ..arguments import compile_case, load_case
+def _case_confidence_batch(config, params, seeds):
+    from ..arguments import compile_case
 
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    results: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
-    for (case_file,), indices in _group_items(
-        resolved, ["case_file"]
-    ).items():
-        compiled = compile_case(load_case(case_file))
-        columns = {
-            name: np.array(
-                [resolved[i][name] for i in indices], dtype=float
-            )
-            for name in compiled.parameter_defaults()
-        }
-        sweep = compiled.evaluate_sweep(columns, n_scenarios=len(indices))
-        top = sweep[compiled.root_id]
-        goal_ids = sorted(
-            identifier for identifier in compiled.node_ids
-            if compiled.case.graph.node(identifier).kind == "goal"
-        )
-        for position, index in enumerate(indices):
-            out = {
-                "top_confidence": float(top[position]),
-                "top_doubt": float(1.0 - top[position]),
-            }
-            for identifier in goal_ids:
-                out[f"conf_{identifier}"] = float(sweep[identifier][position])
-            results[index] = out
-    return results
+    compiled = compile_case(config["case_file"])
+    sweep = compiled.evaluate_sweep(
+        {name: _plane(params, name) for name in compiled.parameter_defaults()},
+        n_scenarios=len(params),
+    )
+    top = sweep[compiled.root_id]
+    return {
+        "top_confidence": top,
+        "top_doubt": 1.0 - top,
+        **{f"conf_{identifier}": values
+           for identifier, values in sweep.items()},
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -593,6 +676,15 @@ class SilClassificationPipeline(Pipeline):
         "scheme": "low_demand",
     }
     required = ("mode", "sigma")
+    config = ("scheme",)
+
+    def columns(self, config):
+        return (
+            *_floats("mode_value", "mean_value"),
+            _level("mode_level"), _level("mean_level"),
+            _level("granted_level"), Column("optimistic_gap", "int64"),
+            *_sil_confidences(config["scheme"]),
+        )
 
     def run(self, params, seed=None):
         from ..distributions import LogNormalJudgement
@@ -622,41 +714,27 @@ class SilClassificationPipeline(Pipeline):
 
 
 @register_batch_kernel("sil_classification")
-def _sil_classification_batch(pipeline, items):
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    results: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
-    for (scheme_name,), indices in _group_items(resolved, ["scheme"]).items():
-        scheme = _band_scheme(scheme_name)
-        modes = np.array([resolved[i]["mode"] for i in indices], dtype=float)
-        sigmas = np.array([resolved[i]["sigma"] for i in indices], dtype=float)
-        required = np.array(
-            [resolved[i]["required_confidence"] for i in indices], dtype=float
-        )
-        mu = _kernels.lognormal_mu_from_mode(modes, sigmas)
-        means, mode_values, _ = _kernels.lognormal_moments(mu, sigmas)
-        mode_levels = _kernels.band_levels_of(mode_values, scheme)
-        mean_levels = _kernels.band_levels_of(means, scheme)
-        confidences = _kernels.band_confidence_sweep(mu, sigmas, scheme)
-        granted = _kernels.granted_levels(confidences, required, len(indices))
-        for position, index in enumerate(indices):
-            gap = 0
-            if (mode_levels[position] is not None
-                    and mean_levels[position] is not None):
-                gap = mode_levels[position] - mean_levels[position]
-            out = {
-                "mode_value": float(mode_values[position]),
-                "mean_value": float(means[position]),
-                "mode_level": mode_levels[position],
-                "mean_level": mean_levels[position],
-                "granted_level": granted[position],
-                "optimistic_gap": gap,
-            }
-            for level in sorted(confidences):
-                out[f"sil{level}_confidence"] = float(
-                    confidences[level][position]
-                )
-            results[index] = out
-    return results
+def _sil_classification_batch(config, params, seeds):
+    scheme = _band_scheme(config["scheme"])
+    sigmas = _plane(params, "sigma")
+    mu = _kernels.lognormal_mu_from_mode(_plane(params, "mode"), sigmas)
+    means, mode_values, _ = _kernels.lognormal_moments(mu, sigmas)
+    mode_levels = _kernels.band_levels_of(mode_values, scheme)
+    mean_levels = _kernels.band_levels_of(means, scheme)
+    confidences = _kernels.band_confidence_sweep(mu, sigmas, scheme)
+    known = (mode_levels != NO_LEVEL) & (mean_levels != NO_LEVEL)
+    return {
+        "mode_value": mode_values,
+        "mean_value": means,
+        "mode_level": mode_levels,
+        "mean_level": mean_levels,
+        "granted_level": _kernels.granted_levels(
+            confidences, _plane(params, "required_confidence")
+        ),
+        "optimistic_gap": np.where(known, mode_levels - mean_levels, 0),
+        **{f"sil{level}_confidence": values
+           for level, values in confidences.items()},
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -673,14 +751,30 @@ class PanelRunPipeline(Pipeline):
         "n_doubters": 3,
         "pool": "linear",
     }
+    config = ("n_experts", "n_doubters", "pool")
+
+    def resolve(self, params, snapshot=None):
+        merged = super().resolve(params)
+        merged["n_experts"] = _as_count(merged["n_experts"], "n_experts")
+        merged["n_doubters"] = _as_count(merged["n_doubters"], "n_doubters")
+        if merged["pool"] not in ("linear", "log"):
+            raise DomainError(
+                f"pool must be 'linear' or 'log', got {merged['pool']!r}"
+            )
+        return merged
+
+    def columns(self, config):
+        return (*_floats("group_confidence", "group_mean_pfd",
+                         "pooled_mean_pfd"),
+                Column("mean_on_boundary", "bool"))
 
     def run(self, params, seed=None):
         from ..experiment import run_panel
 
         merged = self.resolve(params)
         result = run_panel(
-            n_experts=_as_count(merged["n_experts"], "n_experts"),
-            n_doubters=_as_count(merged["n_doubters"], "n_doubters"),
+            n_experts=merged["n_experts"],
+            n_doubters=merged["n_doubters"],
             pool=merged["pool"],
             rng=ensure_rng(seed if seed is not None else 2007),
         )
@@ -693,7 +787,7 @@ class PanelRunPipeline(Pipeline):
 
 
 @register_batch_kernel("panel_run")
-def _panel_run_batch(pipeline, items):
+def _panel_run_batch(config, params, seeds):
     """Batched panel sweeps: the four-phase dynamics as array passes.
 
     Each scenario's panel is still seeded expert-by-expert (the draw
@@ -711,66 +805,55 @@ def _panel_run_batch(pipeline, items):
     from ..experiment import build_panel
     from ..experiment.cemsis import public_domain_case_study
 
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    seeds = [seed for _params, seed in items]
-    results: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
     case = public_domain_case_study()
     band = case.target_band
-    groups = _group_items(resolved, ["n_experts", "n_doubters", "pool"])
-    for (raw_experts, raw_doubters, pool), indices in groups.items():
-        n_experts = _as_count(raw_experts, "n_experts")
-        n_doubters = _as_count(raw_doubters, "n_doubters")
-        if pool not in ("linear", "log"):
-            raise DomainError(f"pool must be 'linear' or 'log', got {pool!r}")
-        pool_fn = linear_pool if pool == "linear" else log_pool
-        panels = [
-            build_panel(
-                n_experts, n_doubters,
-                ensure_rng(seeds[i] if seeds[i] is not None else 2007),
+    n_experts, n_doubters = config["n_experts"], config["n_doubters"]
+    pool_fn = linear_pool if config["pool"] == "linear" else log_pool
+    panels = [
+        build_panel(n_experts, n_doubters,
+                    ensure_rng(seed if seed is not None else 2007))
+        for seed in seeds
+    ]
+    biases = np.array([[e.bias_decades for e in p] for p in panels])
+    sigmas = np.array([[e.sigma for e in p] for p in panels])
+    is_doubter = np.arange(n_experts) < n_doubters
+    main = ~is_doubter
+    if not main.any():
+        raise DomainError("panel has no main-group experts to pool")
+    for phase in DEFAULT_PHASES:
+        target = biases[:, main].mean(axis=1)
+        sigmas[:, main] *= phase.narrowing
+        sigmas[:, is_doubter] *= min(1.0, phase.narrowing + 0.1)
+        if phase.convergence > 0:
+            biases[:, main] = (
+                (1.0 - phase.convergence) * biases[:, main]
+                + phase.convergence * target[:, None]
             )
-            for i in indices
+    rows = []
+    for position, panel in enumerate(panels):
+        final = [
+            replace(
+                expert,
+                bias_decades=float(biases[position, e]),
+                sigma=float(sigmas[position, e]),
+            ).judge(case.reference_mode, phase=len(DEFAULT_PHASES))
+            for e, expert in enumerate(panel)
         ]
-        biases = np.array([[e.bias_decades for e in p] for p in panels])
-        sigmas = np.array([[e.sigma for e in p] for p in panels])
-        is_doubter = np.arange(n_experts) < n_doubters
-        main = ~is_doubter
-        if not main.any():
-            raise DomainError("panel has no main-group experts to pool")
-        for config in DEFAULT_PHASES:
-            target = biases[:, main].mean(axis=1)
-            sigmas[:, main] *= config.narrowing
-            sigmas[:, is_doubter] *= min(1.0, config.narrowing + 0.1)
-            if config.convergence > 0:
-                biases[:, main] = (
-                    (1.0 - config.convergence) * biases[:, main]
-                    + config.convergence * target[:, None]
-                )
-        for position, index in enumerate(indices):
-            final = [
-                replace(
-                    expert,
-                    bias_decades=float(biases[position, e]),
-                    sigma=float(sigmas[position, e]),
-                ).judge(case.reference_mode, phase=len(DEFAULT_PHASES))
-                for e, expert in enumerate(panels[position])
-            ]
-            pooled_all = pool_fn([j.judgement for j in final])
-            pooled_main = pool_fn([
-                j.judgement for j, doubter in zip(final, is_doubter)
-                if not doubter
-            ])
-            group_mean = pooled_main.mean()
-            on_boundary = (
-                group_mean > 0
-                and abs(float(np.log10(group_mean / band.upper))) <= 0.35
-            )
-            results[index] = {
-                "group_confidence": band.confidence_better(pooled_main),
-                "group_mean_pfd": group_mean,
-                "pooled_mean_pfd": pooled_all.mean(),
-                "mean_on_boundary": bool(on_boundary),
-            }
-    return results
+        pooled_all = pool_fn([j.judgement for j in final])
+        pooled_main = pool_fn([
+            j.judgement for j, doubter in zip(final, is_doubter)
+            if not doubter
+        ])
+        group_mean = pooled_main.mean()
+        on_boundary = (
+            group_mean > 0
+            and abs(float(np.log10(group_mean / band.upper))) <= 0.35
+        )
+        rows.append((band.confidence_better(pooled_main), group_mean,
+                     pooled_all.mean(), bool(on_boundary)))
+    names = ("group_confidence", "group_mean_pfd", "pooled_mean_pfd",
+             "mean_on_boundary")
+    return {name: np.array(values) for name, values in zip(names, zip(*rows))}
 
 
 # --------------------------------------------------------------------- #
@@ -815,11 +898,10 @@ class SilFromGrowthPipeline(Pipeline):
         "scheme": "low_demand",
     }
     deterministic = False
+    config = ("model", "n_observed", "n_candidates", "max_factor",
+              "n_alpha", "n_beta0", "n_beta1", "scheme")
 
-    _GRID_KEYS = ("model", "n_observed", "n_candidates", "max_factor",
-                  "n_alpha", "n_beta0", "n_beta1", "scheme")
-
-    def resolve(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    def resolve(self, params, snapshot=None):
         merged = super().resolve(params)
         if merged["model"] not in ("jm", "lv"):
             raise DomainError(
@@ -834,6 +916,17 @@ class SilFromGrowthPipeline(Pipeline):
             raise DomainError("base_sigma must be positive")
         _band_scheme(merged["scheme"])
         return merged
+
+    def columns(self, config):
+        fit = (("n_faults_hat", "per_fault_rate_hat")
+               if config["model"] == "jm"
+               else ("alpha_hat", "beta0_hat", "beta1_hat"))
+        return (
+            *_floats(*fit, "log_lik", "current_intensity", "current_mtbf"),
+            Column("shows_growth", "bool"),
+            *_floats("judgement_mode", "judgement_sigma"),
+            _level("granted_sil"),
+        )
 
     @staticmethod
     def _simulate(merged, rng):
@@ -947,79 +1040,49 @@ class SilFromGrowthPipeline(Pipeline):
 
 
 @register_batch_kernel("sil_from_growth")
-def _sil_from_growth_batch(pipeline, items):
+def _sil_from_growth_batch(config, params, seeds):
     from ..growthmodels import candidate_ladder, relative_lattice
 
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    seeds = [seed for _params, seed in items]
-    results: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
-    groups = _group_items(resolved, SilFromGrowthPipeline._GRID_KEYS)
-    for key, indices in groups.items():
-        model, n_observed = key[0], key[1]
-        scheme = _band_scheme(key[7])
-        times_rows = np.empty((len(indices), n_observed))
-        for position, index in enumerate(indices):
-            times_rows[position] = SilFromGrowthPipeline._simulate(
-                resolved[index], ensure_rng(seeds[index])
-            )
-        if model == "jm":
-            fit_columns = _kernels.jm_profile_sweep(
-                times_rows,
-                candidate_ladder(n_observed, key[2], key[3]),
-            )
-            intensity = fit_columns["per_fault_rate_hat"] * np.maximum(
-                fit_columns["n_faults_hat"] - n_observed, 0.0
-            )
-            shows_growth = fit_columns["shows_growth"]
-        else:
-            fit_columns = _kernels.lv_lattice_sweep(
-                times_rows, relative_lattice(key[4], key[5], key[6])
-            )
-            psi = (
-                fit_columns["beta0_hat"]
-                + fit_columns["beta1_hat"] * (n_observed + 1)
-            )
-            intensity = fit_columns["alpha_hat"] / psi
-            shows_growth = fit_columns["beta1_hat"] > 0
-        mtbf = np.where(intensity > 0, 1.0 / intensity, np.inf)
-
-        margin = np.array(
-            [resolved[i]["assumption_margin_decades"] for i in indices],
-            dtype=float,
+    n_observed = config["n_observed"]
+    times_rows = np.empty((len(params), n_observed))
+    for position, (merged, seed) in enumerate(zip(params, seeds)):
+        times_rows[position] = SilFromGrowthPipeline._simulate(
+            merged, ensure_rng(seed)
         )
-        base_sigma = np.array(
-            [resolved[i]["base_sigma"] for i in indices], dtype=float
+    if config["model"] == "jm":
+        fit = _kernels.jm_profile_sweep(
+            times_rows,
+            candidate_ladder(n_observed, config["n_candidates"],
+                             config["max_factor"]),
         )
-        required = np.array(
-            [resolved[i]["required_confidence"] for i in indices], dtype=float
+        intensity = fit["per_fault_rate_hat"] * np.maximum(
+            fit["n_faults_hat"] - n_observed, 0.0
         )
-        judgement_mode = np.minimum(intensity * 10.0**margin, 0.5)
-        judgement_sigma = base_sigma + 0.25 * margin
-        mu = _kernels.lognormal_mu_from_mode(judgement_mode, judgement_sigma)
-        confidences = _kernels.band_confidence_sweep(
-            mu, judgement_sigma, scheme
+    else:
+        fit = _kernels.lv_lattice_sweep(
+            times_rows, relative_lattice(config["n_alpha"], config["n_beta0"],
+                                         config["n_beta1"])
         )
-        granted = _kernels.granted_levels(confidences, required, len(indices))
-
-        fit_names = (
-            ("n_faults_hat", "per_fault_rate_hat") if model == "jm"
-            else ("alpha_hat", "beta0_hat", "beta1_hat")
-        )
-        for position, index in enumerate(indices):
-            out = {
-                name: float(fit_columns[name][position]) for name in fit_names
-            }
-            out.update({
-                "log_lik": float(fit_columns["log_lik"][position]),
-                "current_intensity": float(intensity[position]),
-                "current_mtbf": float(mtbf[position]),
-                "shows_growth": bool(shows_growth[position]),
-                "judgement_mode": float(judgement_mode[position]),
-                "judgement_sigma": float(judgement_sigma[position]),
-                "granted_sil": granted[position],
-            })
-            results[index] = out
-    return results
+        psi = fit["beta0_hat"] + fit["beta1_hat"] * (n_observed + 1)
+        intensity = fit["alpha_hat"] / psi
+        fit["shows_growth"] = fit["beta1_hat"] > 0
+    margin = _plane(params, "assumption_margin_decades")
+    judgement_mode = np.minimum(intensity * 10.0**margin, 0.5)
+    judgement_sigma = _plane(params, "base_sigma") + 0.25 * margin
+    mu = _kernels.lognormal_mu_from_mode(judgement_mode, judgement_sigma)
+    confidences = _kernels.band_confidence_sweep(
+        mu, judgement_sigma, _band_scheme(config["scheme"])
+    )
+    return {
+        **fit,
+        "current_intensity": intensity,
+        "current_mtbf": np.where(intensity > 0, 1.0 / intensity, np.inf),
+        "judgement_mode": judgement_mode,
+        "judgement_sigma": judgement_sigma,
+        "granted_sil": _kernels.granted_levels(
+            confidences, _plane(params, "required_confidence")
+        ),
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -1051,8 +1114,9 @@ class ElicitationPoolPipeline(Pipeline):
         "weighting": "equal",
     }
     deterministic = False
+    config = ("n_experts", "weighting")
 
-    def resolve(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    def resolve(self, params, snapshot=None):
         merged = super().resolve(params)
         merged["n_experts"] = _as_count(merged["n_experts"], "n_experts")
         merged["n_doubters"] = _as_count(merged["n_doubters"], "n_doubters")
@@ -1073,6 +1137,10 @@ class ElicitationPoolPipeline(Pipeline):
         if not 0 < merged["sigma_low"] <= merged["sigma_high"]:
             raise DomainError("need 0 < sigma_low <= sigma_high")
         return merged
+
+    def columns(self, config):
+        return _floats("pooled_mean", "pooled_confidence", "main_mean",
+                       "main_confidence", "doubter_weight")
 
     @staticmethod
     def _panel_arrays(merged, rng):
@@ -1137,48 +1205,35 @@ class ElicitationPoolPipeline(Pipeline):
 
 
 @register_batch_kernel("elicitation_pool")
-def _elicitation_pool_batch(pipeline, items):
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    seeds = [seed for _params, seed in items]
-    results: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
-    groups = _group_items(resolved, ["n_experts", "weighting"])
-    for (n_experts, weighting), indices in groups.items():
-        modes = np.empty((len(indices), n_experts))
-        sigmas = np.empty((len(indices), n_experts))
-        doubters = np.empty((len(indices), n_experts), dtype=bool)
-        for position, index in enumerate(indices):
-            modes[position], sigmas[position], doubters[position] = (
-                ElicitationPoolPipeline._panel_arrays(
-                    resolved[index], ensure_rng(seeds[index])
-                )
-            )
-        if weighting == "equal":
-            weights = np.full((len(indices), n_experts), 1.0 / n_experts)
-        else:
-            from ..elicitation import information_weights
-
-            mu = _kernels.lognormal_mu_from_mode(modes, sigmas)
-            low, high = _kernels.lognormal_interval(mu, sigmas, 0.9)
-            weights = information_weights(np.log10(high / low))
-        bounds = np.array([resolved[i]["bound"] for i in indices],
-                          dtype=float)
-        pooled = _kernels.linear_pool_sweep(modes, sigmas, weights, bounds)
-        main_weights = np.where(doubters, 0.0, weights)
-        main = _kernels.linear_pool_sweep(
-            modes, sigmas, main_weights, bounds
+def _elicitation_pool_batch(config, params, seeds):
+    n_experts = config["n_experts"]
+    modes = np.empty((len(params), n_experts))
+    sigmas = np.empty((len(params), n_experts))
+    doubters = np.empty((len(params), n_experts), dtype=bool)
+    for position, (merged, seed) in enumerate(zip(params, seeds)):
+        modes[position], sigmas[position], doubters[position] = (
+            ElicitationPoolPipeline._panel_arrays(merged, ensure_rng(seed))
         )
-        doubter_weight = np.sum(np.where(doubters, weights, 0.0), axis=1)
-        for position, index in enumerate(indices):
-            results[index] = {
-                "pooled_mean": float(pooled["pooled_mean"][position]),
-                "pooled_confidence": float(
-                    pooled["pooled_confidence"][position]
-                ),
-                "main_mean": float(main["pooled_mean"][position]),
-                "main_confidence": float(main["pooled_confidence"][position]),
-                "doubter_weight": float(doubter_weight[position]),
-            }
-    return results
+    if config["weighting"] == "equal":
+        weights = np.full((len(params), n_experts), 1.0 / n_experts)
+    else:
+        from ..elicitation import information_weights
+
+        mu = _kernels.lognormal_mu_from_mode(modes, sigmas)
+        low, high = _kernels.lognormal_interval(mu, sigmas, 0.9)
+        weights = information_weights(np.log10(high / low))
+    bounds = _plane(params, "bound")
+    pooled = _kernels.linear_pool_sweep(modes, sigmas, weights, bounds)
+    main = _kernels.linear_pool_sweep(
+        modes, sigmas, np.where(doubters, 0.0, weights), bounds
+    )
+    return {
+        "pooled_mean": pooled["pooled_mean"],
+        "pooled_confidence": pooled["pooled_confidence"],
+        "main_mean": main["pooled_mean"],
+        "main_confidence": main["pooled_confidence"],
+        "doubter_weight": np.sum(np.where(doubters, weights, 0.0), axis=1),
+    }
 
 
 class ExpertCalibrationPipeline(Pipeline):
@@ -1202,8 +1257,9 @@ class ExpertCalibrationPipeline(Pipeline):
         "claim_bound": 1e-2,
     }
     deterministic = False
+    config = ("n_questions",)
 
-    def resolve(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    def resolve(self, params, snapshot=None):
         merged = super().resolve(params)
         merged["n_questions"] = _as_count(
             merged["n_questions"], "n_questions"
@@ -1213,6 +1269,11 @@ class ExpertCalibrationPipeline(Pipeline):
         if merged["claim_bound"] <= 0:
             raise DomainError("claim bound must be positive")
         return merged
+
+    def columns(self, config):
+        return (*_floats("stated_confidence", "mean_brier", "mean_log_score",
+                         "coverage_90"),
+                Column("overconfident", "bool"))
 
     @staticmethod
     def _truths(merged, rng):
@@ -1248,39 +1309,21 @@ class ExpertCalibrationPipeline(Pipeline):
 
 
 @register_batch_kernel("expert_calibration")
-def _expert_calibration_batch(pipeline, items):
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    seeds = [seed for _params, seed in items]
-    results: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
-    for (n_questions,), indices in _group_items(
-        resolved, ["n_questions"]
-    ).items():
-        truths = np.empty((len(indices), n_questions))
-        for position, index in enumerate(indices):
-            truths[position] = ExpertCalibrationPipeline._truths(
-                resolved[index], ensure_rng(seeds[index])
-            )
-        modes = np.array([resolved[i]["mode"] for i in indices], dtype=float)
-        sigmas = np.array([resolved[i]["sigma"] for i in indices],
-                          dtype=float)
-        bounds = np.array([resolved[i]["claim_bound"] for i in indices],
-                          dtype=float)
-        mu = _kernels.lognormal_mu_from_mode(modes, sigmas)
-        stated = _kernels.lognormal_confidence(mu, sigmas, bounds)
-        low, high = _kernels.lognormal_interval(mu, sigmas, 0.9)
-        columns = _kernels.calibration_sweep(stated, truths, bounds, low,
-                                             high)
-        for position, index in enumerate(indices):
-            results[index] = {
-                "stated_confidence": float(stated[position]),
-                "mean_brier": float(columns["mean_brier"][position]),
-                "mean_log_score": float(
-                    columns["mean_log_score"][position]
-                ),
-                "coverage_90": float(columns["coverage_90"][position]),
-                "overconfident": bool(columns["overconfident"][position]),
-            }
-    return results
+def _expert_calibration_batch(config, params, seeds):
+    truths = np.empty((len(params), config["n_questions"]))
+    for position, (merged, seed) in enumerate(zip(params, seeds)):
+        truths[position] = ExpertCalibrationPipeline._truths(
+            merged, ensure_rng(seed)
+        )
+    sigmas = _plane(params, "sigma")
+    bounds = _plane(params, "claim_bound")
+    mu = _kernels.lognormal_mu_from_mode(_plane(params, "mode"), sigmas)
+    stated = _kernels.lognormal_confidence(mu, sigmas, bounds)
+    low, high = _kernels.lognormal_interval(mu, sigmas, 0.9)
+    return {
+        "stated_confidence": stated,
+        **_kernels.calibration_sweep(stated, truths, bounds, low, high),
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -1301,6 +1344,15 @@ class AlarpDecisionPipeline(Pipeline):
         "required_confidence": 0.90,
     }
     required = ("mode", "sigma")
+
+    def columns(self, config):
+        from ..risk import RiskRegion
+
+        width = max(len(region.value) for region in RiskRegion)
+        return (Column("mean"), Column("region", f"<U{width}"),
+                *_floats("confidence_not_unacceptable",
+                         "confidence_broadly_acceptable"),
+                Column("acarp_met", "bool"))
 
     def run(self, params, seed=None):
         from ..distributions import LogNormalJudgement
@@ -1330,29 +1382,13 @@ class AlarpDecisionPipeline(Pipeline):
 
 
 @register_batch_kernel("alarp_decision")
-def _alarp_decision_batch(pipeline, items):
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    columns = _kernels.alarp_sweep(
-        [p["mode"] for p in resolved],
-        [p["sigma"] for p in resolved],
-        [p["intolerable_above"] for p in resolved],
-        [p["acceptable_below"] for p in resolved],
-        [p["required_confidence"] for p in resolved],
+def _alarp_decision_batch(config, params, seeds):
+    return _kernels.alarp_sweep(
+        *(_plane(params, name) for name in (
+            "mode", "sigma", "intolerable_above", "acceptable_below",
+            "required_confidence",
+        ))
     )
-    return [
-        {
-            "mean": float(columns["mean"][i]),
-            "region": str(columns["region"][i]),
-            "confidence_not_unacceptable": float(
-                columns["confidence_not_unacceptable"][i]
-            ),
-            "confidence_broadly_acceptable": float(
-                columns["confidence_broadly_acceptable"][i]
-            ),
-            "acarp_met": bool(columns["acarp_met"][i]),
-        }
-        for i in range(len(resolved))
-    ]
 
 
 class Iec61508SilPipeline(Pipeline):
@@ -1368,14 +1404,19 @@ class Iec61508SilPipeline(Pipeline):
         "scheme": "low_demand",
     }
     required = ("mode", "sigma")
+    config = ("scheme",)
 
-    def resolve(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    def resolve(self, params, snapshot=None):
         from ..standards.iec61508 import clause
 
         merged = super().resolve(params)
         clause(merged["clause"])
         _band_scheme(merged["scheme"])
         return merged
+
+    def columns(self, config):
+        return (Column("required_confidence"), _level("granted_sil"),
+                *_sil_confidences(config["scheme"]))
 
     def run(self, params, seed=None):
         from ..distributions import LogNormalJudgement
@@ -1401,35 +1442,24 @@ class Iec61508SilPipeline(Pipeline):
 
 
 @register_batch_kernel("iec61508_sil")
-def _iec61508_sil_batch(pipeline, items):
+def _iec61508_sil_batch(config, params, seeds):
     from ..standards.iec61508 import clause
 
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    results: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
-    for (scheme_name,), indices in _group_items(resolved, ["scheme"]).items():
-        scheme = _band_scheme(scheme_name)
-        modes = np.array([resolved[i]["mode"] for i in indices], dtype=float)
-        sigmas = np.array([resolved[i]["sigma"] for i in indices],
-                          dtype=float)
-        required = np.array(
-            [clause(resolved[i]["clause"]).required_confidence
-             for i in indices],
-            dtype=float,
-        )
-        mu = _kernels.lognormal_mu_from_mode(modes, sigmas)
-        confidences = _kernels.band_confidence_sweep(mu, sigmas, scheme)
-        granted = _kernels.granted_levels(confidences, required, len(indices))
-        for position, index in enumerate(indices):
-            out = {
-                "required_confidence": float(required[position]),
-                "granted_sil": granted[position],
-            }
-            for level in sorted(confidences):
-                out[f"sil{level}_confidence"] = float(
-                    confidences[level][position]
-                )
-            results[index] = out
-    return results
+    sigmas = _plane(params, "sigma")
+    required = np.array(
+        [clause(p["clause"]).required_confidence for p in params],
+        dtype=float,
+    )
+    mu = _kernels.lognormal_mu_from_mode(_plane(params, "mode"), sigmas)
+    confidences = _kernels.band_confidence_sweep(
+        mu, sigmas, _band_scheme(config["scheme"])
+    )
+    return {
+        "required_confidence": required,
+        "granted_sil": _kernels.granted_levels(confidences, required),
+        **{f"sil{level}_confidence": values
+           for level, values in confidences.items()},
+    }
 
 
 class Do178bMapPipeline(Pipeline):
@@ -1445,7 +1475,7 @@ class Do178bMapPipeline(Pipeline):
     }
     required = ("dal",)
 
-    def resolve(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    def resolve(self, params, snapshot=None):
         from ..standards import do178b
 
         merged = super().resolve(params)
@@ -1456,6 +1486,16 @@ class Do178bMapPipeline(Pipeline):
                 "or neither"
             )
         return merged
+
+    def columns(self, config):
+        from ..standards import do178b
+
+        width = max(len(dal.failure_condition)
+                    for dal in do178b.LEVELS.values())
+        return (Column("failure_condition", f"<U{width}"),
+                Column("guidance_rate_per_hour", nodata=np.nan),
+                _level("comparable_sil"),
+                Column("confidence_within_guidance", nodata=np.nan))
 
     def run(self, params, seed=None):
         from ..distributions import LogNormalJudgement
@@ -1481,41 +1521,34 @@ class Do178bMapPipeline(Pipeline):
 
 
 @register_batch_kernel("do178b_map")
-def _do178b_map_batch(pipeline, items):
+def _do178b_map_batch(config, params, seeds):
     from ..standards import do178b
 
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    results: List[Dict[str, Any]] = []
-    judged = [
-        i for i, p in enumerate(resolved)
-        if p["mode"] is not None
-        and do178b.rate_guidance_per_hour(p["dal"]) is not None
-    ]
-    confidences = {}
+    dals = [do178b.level(p["dal"]) for p in params]
+    rates = np.array([np.nan if dal.max_rate_per_hour is None
+                      else dal.max_rate_per_hour for dal in dals])
+    judged = [i for i, p in enumerate(params)
+              if p["mode"] is not None and not np.isnan(rates[i])]
+    confidence = np.full(len(params), np.nan)
     if judged:
+        sigmas = np.array([params[i]["sigma"] for i in judged], dtype=float)
         mu = _kernels.lognormal_mu_from_mode(
-            [resolved[i]["mode"] for i in judged],
-            [resolved[i]["sigma"] for i in judged],
+            [params[i]["mode"] for i in judged], sigmas
         )
-        sigmas = np.array([resolved[i]["sigma"] for i in judged], dtype=float)
-        rates = np.array(
-            [do178b.rate_guidance_per_hour(resolved[i]["dal"])
-             for i in judged],
-            dtype=float,
+        confidence[judged] = _kernels.lognormal_confidence(
+            mu, sigmas, rates[judged]
         )
-        values = _kernels.lognormal_confidence(mu, sigmas, rates)
-        confidences = {
-            index: float(value) for index, value in zip(judged, values)
-        }
-    for index, params in enumerate(resolved):
-        dal = do178b.level(params["dal"])
-        results.append({
-            "failure_condition": dal.failure_condition,
-            "guidance_rate_per_hour": dal.max_rate_per_hour,
-            "comparable_sil": do178b.comparable_sil(params["dal"]),
-            "confidence_within_guidance": confidences.get(index),
-        })
-    return results
+    sils = [do178b.comparable_sil(p["dal"]) for p in params]
+    return {
+        "failure_condition": np.array([dal.failure_condition
+                                       for dal in dals]),
+        "guidance_rate_per_hour": rates,
+        "comparable_sil": np.array(
+            [NO_LEVEL if sil is None else sil for sil in sils],
+            dtype=np.int64,
+        ),
+        "confidence_within_guidance": confidence,
+    }
 
 
 class ConservatismAuditPipeline(Pipeline):
@@ -1534,13 +1567,18 @@ class ConservatismAuditPipeline(Pipeline):
     }
     required = ("mode", "sigma")
 
-    def resolve(self, params: Mapping[str, Any]) -> Dict[str, Any]:
+    def resolve(self, params, snapshot=None):
         merged = super().resolve(params)
         if not 0 <= merged["belief_bound"] <= 1:
             raise DomainError("belief bound must lie in [0, 1]")
         if not 0 <= merged["beta"] <= 1:
             raise DomainError("beta must lie in [0, 1]")
         return merged
+
+    def columns(self, config):
+        return (*_floats("channel_mean", "stagewise_bound", "end_to_end_mean"),
+                Column("conservatism_holds", "bool"),
+                Column("critical_beta"))
 
     def run(self, params, seed=None):
         from ..core import (
@@ -1568,24 +1606,11 @@ class ConservatismAuditPipeline(Pipeline):
 
 
 @register_batch_kernel("conservatism_audit")
-def _conservatism_audit_batch(pipeline, items):
-    resolved = [pipeline.resolve(params) for params, _seed in items]
-    columns = _kernels.conservatism_sweep(
-        [p["mode"] for p in resolved],
-        [p["sigma"] for p in resolved],
-        [p["belief_bound"] for p in resolved],
-        [p["beta"] for p in resolved],
+def _conservatism_audit_batch(config, params, seeds):
+    return _kernels.conservatism_sweep(
+        *(_plane(params, name)
+          for name in ("mode", "sigma", "belief_bound", "beta"))
     )
-    return [
-        {
-            "channel_mean": float(columns["channel_mean"][i]),
-            "stagewise_bound": float(columns["stagewise_bound"][i]),
-            "end_to_end_mean": float(columns["end_to_end_mean"][i]),
-            "conservatism_holds": bool(columns["conservatism_holds"][i]),
-            "critical_beta": float(columns["critical_beta"][i]),
-        }
-        for i in range(len(resolved))
-    ]
 
 
 register(SurvivalUpdatePipeline())

@@ -6,9 +6,26 @@ The engine's execution stack is staged — **plan, compile, execute**:
    explicit scenario list) into an :class:`ExecutionPlan`: the pipeline
    name, the **parameter planes** (sorted grid axes and their value
    lists over the shared base), the **chunk layout**, and the seed
-   derivation rule.  Lowering validates everything that can fail
-   without running a kernel — unknown pipelines, mixed pipelines,
-   invalid chunk sizes — so executors start from a well-formed IR.
+   derivation rule.  Lowering also settles every static fact about the
+   sweep before any sink opens:
+
+   * the **snapshot** — each file a content parameter names (in the
+     base, on an axis or in an explicit list) is loaded and
+     content-hashed once; cache keys, fingerprints, resolution, the
+     kernels and the scalar path all read it, so every row of a run
+     sees one version of each file, in this process and in shard
+     workers (the snapshot travels with the pickled plan);
+   * **validation** — grid scenario 0 and every scenario that differs
+     from it on one axis (real scenarios only), or each explicit
+     scenario, is resolved, so unknown names, bad values and missing
+     files fail here; the per-chunk resolve in :meth:`chunk_items`
+     still catches checks that join two axes;
+   * the **configuration groups** and their declared value-column
+     schemas (:attr:`column_sets`), which the sinks and the tile store
+     read instead of guessing columns from rows.
+
+   Unknown pipelines, mixed pipelines and invalid chunk sizes fail
+   here too, so executors start from a well-formed IR.
 2. The pipelines' batch kernels *compile* whatever they need (networks,
    cases, grids) through the unified :mod:`repro.compilecache`.
 3. The executors (:func:`repro.engine.run_sweep` and
@@ -37,7 +54,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from ..errors import DomainError
 from ..numerics import spawn_seeds_range
 from ..telemetry import tracer
-from .pipelines import Pipeline, get_pipeline
+from .pipelines import Column, Pipeline, get_pipeline
 from .spec import ScenarioSpec, SweepSpec
 
 __all__ = ["Chunk", "ExecutionPlan", "PlanWindow", "lower",
@@ -83,8 +100,11 @@ class ExecutionPlan:
       reconstruction (identical to ``SweepSpec.expand()`` output);
     * :meth:`chunk_items` — the resolved ``(params, seed)`` run items a
       chunk feeds to ``Pipeline.run_batch``;
-    * :meth:`cache_key` — the result-cache key of one scenario, folded
-      through the pipeline (file-referencing pipelines hash content).
+    * :meth:`cache_key` — the result-cache key of one scenario, with the
+      hash of every referenced file (loaded once, at lowering) folded in;
+    * :attr:`param_names`, :attr:`column_sets`, :attr:`columns` — the
+      rows' parameter names and the configuration groups' declared
+      value columns.
     """
 
     def __init__(
@@ -116,6 +136,56 @@ class ExecutionPlan:
             strides.append(place)
             place *= len(values)
         self._strides = tuple(reversed(strides))
+        self._snapshot: Dict[Tuple[str, Any], Tuple[Any, str]] = {}
+        self._column_sets: Tuple[Tuple[Column, ...], ...] = ()
+        if self._n:
+            self._settle()
+
+    def _settle(self) -> None:
+        """Load the snapshot, validate the scenarios and collect the
+        configuration groups' schemas (in first-appearance order)."""
+        pipeline = self._pipeline
+        for name in pipeline.content_params:
+            default = pipeline.defaults.get(name)
+            if self._explicit is not None:
+                values = [s.params.get(name, default) for s in self._explicit]
+            else:
+                values = dict(self._axes).get(
+                    name, [self._base.get(name, default)]
+                )
+            for value in values:
+                if value is not None and (name, value) not in self._snapshot:
+                    self._snapshot[(name, value)] = pipeline.load(name, value)
+        snapshot = self._snapshot
+        schemas: Dict[tuple, Tuple[Column, ...]] = {}
+
+        def settle(params: Dict[str, Any]) -> None:
+            resolved = pipeline.resolve(params, snapshot)
+            key = tuple(resolved[name] for name in pipeline.config)
+            if key not in schemas:
+                schemas[key] = tuple(
+                    pipeline.columns(dict(zip(pipeline.config, key)))
+                )
+
+        if self._explicit is not None:
+            for scenario in self._explicit:
+                settle(scenario.params)
+        else:
+            first = dict(self._base)
+            first.update((name, values[0]) for name, values in self._axes)
+            # Every configuration the grid takes, in the order its rows
+            # first reach it; then each one-axis step off scenario 0.
+            config_axes = [(name, values) for name, values in self._axes
+                           if name in pipeline.config]
+            for combo in itertools.product(
+                *(values for _name, values in config_axes)
+            ):
+                settle({**first, **{name: value for (name, _values), value
+                                    in zip(config_axes, combo)}})
+            for name, values in self._axes:
+                for value in values[1:]:
+                    pipeline.resolve({**first, name: value}, snapshot)
+        self._column_sets = tuple(dict.fromkeys(schemas.values()))
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -159,6 +229,33 @@ class ExecutionPlan:
     @property
     def master_seed(self) -> Optional[int]:
         return self._master_seed
+
+    @property
+    def param_names(self) -> Tuple[str, ...]:
+        """The rows' parameter names in first-appearance order."""
+        if not self._n:
+            return ()
+        if self._explicit is None:
+            return tuple(dict.fromkeys([*self._base, *self.axes]))
+        names: Dict[str, None] = {}
+        for scenario in self._explicit:
+            names.update(dict.fromkeys(scenario.params))
+        return tuple(names)
+
+    @property
+    def column_sets(self) -> Tuple[Tuple[Column, ...], ...]:
+        """The distinct value-column schemas the plan's configuration
+        groups declare, in the order rows first reach them."""
+        return self._column_sets
+
+    @property
+    def columns(self) -> Tuple[Column, ...]:
+        """Every group's value columns, first appearance first."""
+        union: Dict[str, Column] = {}
+        for schema in self._column_sets:
+            for column in schema:
+                union.setdefault(column.name, column)
+        return tuple(union.values())
 
     def __repr__(self) -> str:
         return (
@@ -230,12 +327,13 @@ class ExecutionPlan:
     ) -> List[Tuple[Dict[str, Any], Optional[int]]]:
         """Resolved ``(params, seed)`` run items for a chunk's scenarios.
 
-        Resolution validates parameter names/values through the
-        pipeline, so malformed scenarios fail here — before any pool or
-        kernel sees them.
+        The one per-row resolve: against the snapshot, so content
+        parameters carry the loaded content, and still validating what
+        lowering could not check one axis at a time.
         """
+        pipeline, snapshot = self._pipeline, self._snapshot
         return [
-            (self._pipeline.resolve(scenario.params), scenario.seed)
+            (pipeline.resolve(scenario.params, snapshot), scenario.seed)
             for scenario in scenarios
         ]
 
@@ -244,8 +342,16 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
 
     def cache_key(self, scenario: ScenarioSpec) -> str:
-        """The result-cache key of one scenario (pipeline-folded)."""
-        return self._pipeline.cache_key(scenario)
+        """The result-cache key of one scenario: its spec key, plus
+        ``:<content hash>`` of each file it references (the snapshot's),
+        so an edited file never replays stale results."""
+        key = scenario.key()
+        for name in self._pipeline.content_params:
+            value = scenario.params.get(name,
+                                        self._pipeline.defaults.get(name))
+            if value is not None:
+                key = f"{key}:{self._snapshot[(name, value)][1]}"
+        return key
 
     def cacheable(self, scenario: ScenarioSpec) -> bool:
         """Whether rerunning ``scenario`` would reproduce its result:
@@ -256,30 +362,10 @@ class ExecutionPlan:
     # Content anchors (external state folded into fingerprints)
     # ------------------------------------------------------------------ #
 
-    def _content_param_names(self) -> Optional[Tuple[str, ...]]:
-        """Parameters whose values reference content outside the spec.
-
-        ``()`` means none: the pipeline's ``cache_key`` is the default
-        pure function of the spec, so axis windows already pin every
-        input.  ``None`` means *unknown*: the pipeline overrides
-        ``cache_key`` — its results depend on external state — without
-        declaring :attr:`~repro.engine.pipelines.Pipeline.content_params`,
-        so fingerprints must anchor every distinct scenario rather than
-        guess which parameter carries the reference.
-        """
-        declared = tuple(
-            getattr(self._pipeline, "content_params", ()) or ()
-        )
-        if declared:
-            return declared
-        if type(self._pipeline).cache_key is Pipeline.cache_key:
-            return ()
-        return None
-
     def _grid_anchor_keys(
         self, blocks: Sequence[Tuple[int, int]]
     ) -> List[str]:
-        """Pipeline-folded cache keys anchoring a grid region's content.
+        """Cache keys anchoring a grid region's referenced content.
 
         One key per combination the region takes of the
         content-referencing axes (row-major window order), so *every*
@@ -293,16 +379,14 @@ class ExecutionPlan:
             offset * stride
             for (offset, _length), stride in zip(blocks, self._strides)
         )
-        content = self._content_param_names()
-        varying: List[Tuple[int, int]] = []
-        if content != ():
-            varying = [
-                (stride, length)
-                for (name, _values), (_offset, length), stride in zip(
-                    self._axes, blocks, self._strides
-                )
-                if length > 1 and (content is None or name in content)
-            ]
+        content = self._pipeline.content_params
+        varying = [
+            (stride, length)
+            for (name, _values), (_offset, length), stride in zip(
+                self._axes, blocks, self._strides
+            )
+            if length > 1 and name in content
+        ]
         if not varying:
             return [self.cache_key(self.scenario(first_index))]
         keys: List[str] = []
@@ -320,21 +404,17 @@ class ExecutionPlan:
         """Content anchor keys for a scenario-range region (explicit or
         gridless plans): one per distinct content-parameter combination
         in the window, first occurrence first."""
-        content = self._content_param_names()
-        if self._explicit is None or content == () or length == 1:
+        content = self._pipeline.content_params
+        if self._explicit is None or not content or length == 1:
             return [self.cache_key(self.scenario(start))]
         keys: List[str] = []
         seen = set()
         for index in range(start, start + length):
             scenario = self._explicit[index]
-            if content is None:
-                marker = scenario.key()
-            else:
-                marker = json.dumps(
-                    [[name, scenario.params.get(name)]
-                     for name in content],
-                    sort_keys=True, default=str,
-                )
+            marker = json.dumps(
+                [[name, scenario.params.get(name)] for name in content],
+                sort_keys=True, default=str,
+            )
             if marker in seen:
                 continue
             seen.add(marker)
@@ -350,11 +430,11 @@ class ExecutionPlan:
 
         Folds everything the stream depends on: pipeline name, base
         parameters, axes, master seed, scenario count, chunk layout —
-        plus pipeline-folded content anchor keys, so
-        file-referencing pipelines hash the referenced *content* too
-        (editing a case file changes the fingerprint).  One anchor per
-        distinct value combination of the content-referencing
-        parameters: sweeping ``case_file`` as a grid axis hashes every
+        plus content anchor keys (:meth:`cache_key`), so
+        file-referencing pipelines hash the snapshot's *content* too
+        (editing a case file changes the next lowering's fingerprint).
+        One anchor per distinct value combination of the
+        content-referencing parameters: sweeping ``case_file`` as a grid axis hashes every
         file, not just the first scenario's.  Tile store manifests
         record this hash as ``plan_fingerprint``.
         """
@@ -398,10 +478,10 @@ class ExecutionPlan:
         (or a single window over scenario indices for explicit/gridless
         plans).  The hash folds exactly what the region's rows depend
         on — pipeline, base parameters, the *windowed* axis
-        values, and pipeline-folded content anchor keys: one cache key
-        per distinct combination the region takes of the
-        content-referencing parameters (file-referencing pipelines
-        declare them via ``content_params``), so every referenced file
+        values, and content anchor keys: one cache key per distinct
+        combination the region takes of the content-referencing
+        parameters (file-referencing pipelines declare them via
+        ``content_params``), so every referenced file
         inside the region is hashed even when the file path itself is a
         grid axis.  Seeded sweeps additionally fold the seed window:
         the full grid shape plus the region's offsets, because
@@ -475,7 +555,8 @@ class ExecutionPlan:
 
     def __getstate__(self) -> Dict[str, Any]:
         # The resolved Pipeline holds registry callables that may not
-        # pickle; ship the name and re-resolve on the other side.
+        # pickle; ship the name and re-resolve on the other side.  The
+        # snapshot ships whole: workers read the parent's file versions.
         state = self.__dict__.copy()
         state["_pipeline"] = None
         return state
@@ -594,8 +675,9 @@ def lower(
     kernel efficiency.  An already-lowered plan is returned unchanged,
     so executors accept either; a ``chunk_size`` that differs from the
     plan's layout is refused rather than ignored.  Spec-level errors
-    (unknown pipeline, mixed pipelines, bad chunk size) surface here,
-    before execution.
+    (unknown pipeline, mixed pipelines, bad chunk size, unknown
+    parameter names, bad values, unreadable referenced files) surface
+    here, before execution.
     """
     if isinstance(sweep, ExecutionPlan):
         if chunk_size is not None and chunk_size != sweep.chunk_size:

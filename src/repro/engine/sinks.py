@@ -6,7 +6,8 @@ footprint is the in-flight chunks — never the whole result set.  A sink
 sees three calls:
 
 * :meth:`ResultSink.open` — once, with the :class:`ExecutionPlan` about
-  to run;
+  to run (or a :class:`PlanWindow` of it), which already knows the
+  rows' parameter names and declared value columns;
 * :meth:`ResultSink.write` — once per chunk, with that chunk's
   :class:`~repro.engine.results.ScenarioResult` rows in order;
 * :meth:`ResultSink.close` — once, after the last chunk (also on error,
@@ -21,7 +22,8 @@ sink            writes                                                 memory
                 returns)
 :class:`JsonlSink`  one JSON object per scenario (params + seed +          O(chunk)
                 values), appended line by line
-:class:`CsvSink`    CSV with a header from the first chunk's columns       O(chunk)
+:class:`CsvSink`    CSV with a header from the plan: parameters, then      O(chunk)
+                every configuration group's declared columns
 =============== ====================================================== ========
 
 File sinks accept a path (opened and truncated at
@@ -42,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import DomainError
 from ..telemetry import metrics
+from .plan import PlanWindow
 from .results import ResultSet, ScenarioResult
 
 __all__ = ["ResultSink", "MemorySink", "JsonlSink", "CsvSink"]
@@ -208,15 +211,14 @@ class JsonlSink(_FileSink):
 
 
 class CsvSink(_FileSink):
-    """Streaming CSV: header from the first chunk, rows as they arrive.
+    """Streaming CSV with its header taken from the plan at :meth:`open`.
 
-    A streamed CSV cannot rewrite its header, so the column layout is
-    fixed by the first chunk (parameters first, then value columns).  A
-    later row introducing a column outside that set would otherwise be
-    silently truncated, so it raises instead — sweeps whose rows are
-    genuinely heterogeneous (e.g. gridding over case files with
-    different node sets) belong in :class:`JsonlSink`.  Rows *missing* a
-    header column write it empty, matching ``ResultSet.to_csv``.
+    The header lists the rows' parameters, then the union of the
+    configuration groups' declared value columns in first-appearance
+    order — exactly what ``ResultSet.to_csv`` writes for the same
+    sweep, even when groups declare different columns (case files with
+    different goals, say); a row without one of the columns writes it
+    empty.
 
     Like :class:`JsonlSink`, every chunk is **flushed** when written,
     so a killed sweep's file ends at a chunk boundary plus at most one
@@ -226,32 +228,21 @@ class CsvSink(_FileSink):
     def __init__(self, path_or_handle):
         super().__init__(path_or_handle)
         self._writer = None
-        self._columns = None
 
     def open(self, plan) -> None:
+        if isinstance(plan, PlanWindow):
+            plan = plan.plan
+        params = plan.param_names
+        header = [*params, *(column.name for column in plan.columns
+                             if column.name not in params)]
         super().open(plan)
-        self._writer = None
-        self._columns = None
+        self._writer = csv.DictWriter(self._handle, fieldnames=header,
+                                      restval="")
+        self._writer.writeheader()
 
     def write(self, results: Sequence[ScenarioResult]) -> None:
-        if self._writer is None:
-            self._columns = frozenset(
-                columns := list(ResultSet(list(results)).columns())
-            )
-            self._writer = csv.DictWriter(
-                self._handle, fieldnames=columns, restval=""
-            )
-            self._writer.writeheader()
         for result in results:
-            record = result.record()
-            extra = set(record) - self._columns
-            if extra:
-                raise DomainError(
-                    f"row {self.n_rows} adds columns not in the streamed "
-                    f"CSV header: {', '.join(sorted(extra))}; use a "
-                    f"JSONL sink for heterogeneous sweeps"
-                )
-            self._writer.writerow(record)
-            self.n_rows += 1
+            self._writer.writerow(result.record())
+        self.n_rows += len(results)
         self.flush()
         _M_SINK_ROWS.add(len(results))

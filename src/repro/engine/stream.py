@@ -141,6 +141,11 @@ def stream_results(
     window's, yielded strictly in scenario order.  This is what
     :func:`run_sweep_streaming` runs in-process and what each shard
     worker runs on its part of the window.
+
+    An ``Exception`` raised while a chunk is resolved or run is raised
+    again as ``DomainError("pipeline 'NAME', scenarios [START, STOP):
+    Type: msg")``, chained from the original; what the caller does with
+    a yielded chunk (sink writes) is not wrapped.
     """
     window, effective, _label = _resolve_backend(plan, backend)
     plan = window.plan
@@ -148,18 +153,25 @@ def stream_results(
     for chunk in window.chunks():
         with tracer.span("stream.chunk", index=chunk.index,
                          backend=effective) as span:
-            work = _ChunkWork(plan, plan.chunk_scenarios(chunk), cache)
-            if effective == "serial":
-                values = [
-                    pipeline.run(params, seed)
-                    for params, seed in work.items
-                ]
-            else:
-                values = (
-                    pipeline.run_batch(work.items) if work.items else []
-                )
+            try:
+                work = _ChunkWork(plan, plan.chunk_scenarios(chunk), cache)
+                if effective == "serial":
+                    values = [
+                        pipeline.run(params, seed)
+                        for params, seed in work.items
+                    ]
+                else:
+                    values = (
+                        pipeline.run_batch(work.items) if work.items else []
+                    )
+                merged = work.merge(values, cache)
+            except Exception as exc:
+                raise DomainError(
+                    f"pipeline {plan.pipeline_name!r}, scenarios "
+                    f"[{chunk.start}, {chunk.stop}): "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
             span.set(n=len(work.scenarios), cache_hits=len(work.hits))
-            merged = work.merge(values, cache)
         yield merged
 
 

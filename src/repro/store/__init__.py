@@ -1,8 +1,10 @@
 """repro.store: a tiled columnar result store plus delta-sweeps.
 
 Sweep output lands in parameter-plane-aligned NumPy tiles — one
-``.npy`` blob per value column per tile, per-column dtype, a JSON
-manifest carrying the plan fingerprint and per-tile content hashes
+``.npy`` blob per value column per tile, in the dtype (and with the
+nodata value for ``None``) the pipeline declares, a JSON manifest
+carrying the plan fingerprint, the column schema and per-tile content
+hashes
 (:mod:`~repro.store.format`, :mod:`~repro.store.layout`).  Write one
 with :class:`TileSink` (an ordinary streaming/coordinator sink), read
 it back with :class:`TileStore` slice queries, and re-run sweeps

@@ -31,7 +31,9 @@ skipped and only the rest execute.
 Unseeded *non-deterministic* sweeps are rejected: their rows are not a
 function of the fingerprint, so "skip what matched" would silently
 change results.  Seeded sweeps of any pipeline are fine (the seed
-window is part of the fingerprint).
+window is part of the fingerprint).  A store written in another
+:data:`~repro.store.format.STORE_VERSION` offers no previous
+generation, so every tile executes — the delta rebuilds it.
 """
 
 from __future__ import annotations

@@ -13,12 +13,13 @@ Layout on disk::
           ...
 
 Everything here is **deterministic**: column files are named by a pure
-function of the column name, arrays are normalised to a fixed dtype
-menu before encoding, and the manifest is dumped with sorted keys and
-no timestamps.  That is a correctness requirement, not tidiness — the
-delta executor promises that an incremental store is *bit-identical*
-to a from-scratch run, so every byte must be a function of the sweep
-alone.
+function of the column name, every tile stores each column in the dtype
+its pipeline declares (``None`` as the declared *nodata* value, both
+recorded in the manifest's ``columns``), and the manifest is dumped
+with sorted keys and no timestamps.  That is a correctness requirement,
+not tidiness — the delta executor promises that an incremental store
+is *bit-identical* to a from-scratch run, so every byte must be a
+function of the sweep alone.
 
 The manifest is the store's single commit point.  While a run writes,
 ``journal.jsonl`` holds one line per tile whose blobs are in place —
@@ -26,6 +27,10 @@ the same record that lands in ``manifest["tiles"]`` — and the finished
 run removes it.  A killed run therefore leaves blobs and a journal but
 no manifest: readers refuse it, and ``delta=True`` takes the journal's
 records as the previous generation and executes only the rest.
+
+:data:`STORE_VERSION` 2 is the declared-schema format; readers refuse
+other versions, and ``delta=True`` rebuilds such a store from scratch
+(its records are not reused).
 """
 
 from __future__ import annotations
@@ -43,16 +48,16 @@ from ..errors import DomainError
 
 __all__ = [
     "MANIFEST_NAME", "JOURNAL_NAME", "TILES_DIR", "STORE_FORMAT",
-    "STORE_VERSION", "column_filename", "column_array", "encode_blob",
-    "decode_blob", "tile_dirname", "write_atomic", "read_manifest",
-    "write_manifest", "append_journal", "read_journal",
+    "STORE_VERSION", "column_filename", "column_record", "nodata_of",
+    "encode_blob", "decode_blob", "tile_dirname", "write_atomic",
+    "read_manifest", "write_manifest", "append_journal", "read_journal",
 ]
 
 MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
 TILES_DIR = "tiles"
 STORE_FORMAT = "repro-tile-store"
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -89,44 +94,24 @@ def column_filenames(names: Sequence[str]) -> Dict[str, str]:
     return mapping
 
 
-def column_array(name: str, values: List[Any]) -> np.ndarray:
-    """Normalise one tile's column values to a storable 1-D array.
+def column_record(column, filename: str) -> Dict[str, Any]:
+    """The manifest ``columns`` entry of a declared
+    :class:`~repro.engine.pipelines.Column` stored as ``filename``; the
+    nodata value is kept as text (``"-1"``, ``"nan"``), ``None`` when
+    the column has none."""
+    return {
+        "name": column.name,
+        "dtype": column.dtype,
+        "nodata": None if column.nodata is None else str(column.nodata),
+        "file": filename,
+    }
 
-    The dtype menu is deliberately small and **decided per tile,
-    independently of any other tile**: bool, int64, float64, or
-    fixed-width unicode.  (Delta runs write tiles in a different order
-    than full runs, so any "first tile wins" dtype rule would break
-    bit-identity.)  ``None`` becomes NaN; values that fit none of the
-    menu — nested lists, dicts, mixed text/number columns — are
-    rejected with a pointer at the row sinks, which keep arbitrary
-    JSON-able values.
-    """
-    try:
-        arr = np.asarray(values)
-    except (ValueError, TypeError):
-        arr = np.asarray(values, dtype=object)
-    if arr.dtype != object and arr.ndim == 1:
-        kind = arr.dtype.kind
-        if kind == "b":
-            return arr
-        if kind in "iu":
-            return arr.astype(np.int64)
-        if kind == "f":
-            return arr.astype(np.float64)
-        if kind == "U":
-            return arr
-    # Mixed numeric / None columns: coerce through float64.
-    try:
-        return np.asarray(
-            [np.nan if v is None else float(v) for v in values],
-            dtype=np.float64,
-        )
-    except (TypeError, ValueError):
-        raise DomainError(
-            f"column {name!r} holds values that do not fit a columnar "
-            f"dtype (bool/int64/float64/str); use a JSONL or CSV sink "
-            f"for free-form rows"
-        ) from None
+
+def nodata_of(record: Dict[str, Any]) -> Any:
+    """The nodata value a manifest ``columns`` entry records, in the
+    column's dtype (``None``: the column has none)."""
+    text = record["nodata"]
+    return None if text is None else np.dtype(record["dtype"]).type(text)
 
 
 def encode_blob(arr: np.ndarray) -> Tuple[bytes, str]:
@@ -204,7 +189,8 @@ def read_manifest(store_path: str) -> Dict[str, Any]:
     if version != STORE_VERSION:
         raise DomainError(
             f"tile store {store_path!r} has manifest version "
-            f"{version!r}; this build reads version {STORE_VERSION}"
+            f"{version!r}; this build reads version {STORE_VERSION} — "
+            f"re-run its sweep with delta=True (--delta) to rebuild it"
         )
     return manifest
 

@@ -9,6 +9,10 @@ to the remaining axes.  No :class:`~repro.engine.plan.ExecutionPlan`
 chunk is ever executed — the P13 gate verifies the engine's chunk
 counter stays flat across a query.
 
+Columns come back in the dtype their pipeline declared; where a row
+held ``None`` the arrays hold the column's declared nodata value, and
+:meth:`StoreSlice.records` maps it back to ``None``.
+
 Decoded blobs are memoised in the ``"store.tiles"`` compile-cache
 region keyed by their content hash, so repeated queries against the
 same store (a plotting session, a service endpoint) hit memory, not
@@ -24,9 +28,16 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..compilecache import region
+from ..engine.pipelines import Column
 from ..errors import DomainError
 from ..telemetry import metrics, tracer
-from .format import TILES_DIR, decode_blob, read_manifest, tile_dirname
+from .format import (
+    TILES_DIR,
+    decode_blob,
+    nodata_of,
+    read_manifest,
+    tile_dirname,
+)
 
 __all__ = ["TileStore", "StoreSlice"]
 
@@ -36,11 +47,13 @@ _M_BYTES_READ = metrics.counter("store.bytes_read")
 
 @dataclass
 class StoreSlice:
-    """One slice query's result: remaining axes plus column arrays."""
+    """One slice query's result: remaining axes plus column arrays
+    (``nodata``: each column's declared nodata value, or None)."""
 
     axes: List[Tuple[str, List[Any]]]
     fixed: Dict[str, Any]
     data: Dict[str, np.ndarray] = field(default_factory=dict)
+    nodata: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -60,10 +73,15 @@ class StoreSlice:
             ) from None
 
     def records(self) -> Iterator[Dict[str, Any]]:
-        """Rows (params + values) in scenario order, for table output."""
+        """Rows (params + values) in scenario order, nodata as ``None``:
+        the values the sweep's rows carried."""
         names = [name for name, _values in self.axes]
         grids = [values for _name, values in self.axes]
-        flat = {name: arr.reshape(-1) for name, arr in self.data.items()}
+        flat = {
+            name: Column(name, str(arr.dtype),
+                         self.nodata.get(name)).to_rows(arr.reshape(-1))
+            for name, arr in self.data.items()
+        }
         n = int(np.prod(self.shape)) if self.shape else 1
         for i in range(n):
             row: Dict[str, Any] = dict(self.fixed)
@@ -73,8 +91,8 @@ class StoreSlice:
                 for later in grids[names.index(name) + 1:]:
                     stride *= len(later)
                 row[name] = values[(remainder // stride) % len(values)]
-            for name, arr in flat.items():
-                row[name] = arr[i].item()
+            for name, values in flat.items():
+                row[name] = values[i]
             yield row
 
 
@@ -89,6 +107,9 @@ class TileStore:
         ]
         self._columns: Dict[str, str] = {
             meta["name"]: meta["dtype"] for meta in manifest["columns"]
+        }
+        self._nodata: Dict[str, Any] = {
+            meta["name"]: nodata_of(meta) for meta in manifest["columns"]
         }
         self._layout = manifest["layout"]
         self._tiles: List[Dict[str, Any]] = manifest["tiles"]
@@ -118,7 +139,7 @@ class TileStore:
 
     @property
     def columns(self) -> Dict[str, str]:
-        """Column name -> promoted dtype string."""
+        """Column name -> declared dtype string."""
         return dict(self._columns)
 
     @property
@@ -300,6 +321,7 @@ class TileStore:
             axes=out_axes,
             fixed=dict(fixed),
             data=data,
+            nodata={name: self._nodata[name] for name in names},
         )
 
     def column(self, name: str) -> np.ndarray:

@@ -3,7 +3,13 @@
 :class:`TileWriter` owns the on-disk store during one run — it encodes
 tiles to ``.npy`` blobs, journals each tile as it commits, accounts
 bytes, and finalises the manifest (pruning any blobs a previous store
-version left behind, and removing the journal).  A run killed before
+version left behind, and removing the journal).  Its columns are the
+plan's declared schema
+(:attr:`~repro.engine.plan.ExecutionPlan.column_sets`): every tile
+stores each column in its declared dtype with ``None`` as the declared
+nodata value, and the manifest records both.  A plan whose
+configuration groups declare different column sets is refused before
+the writer touches the directory.  A run killed before
 :meth:`TileWriter.finalise` leaves no manifest, so readers refuse the
 directory, but its journal names every committed tile, so
 ``delta=True`` finishes the run.  Both entry points share the writer:
@@ -27,8 +33,6 @@ import shutil
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
 from ..errors import DomainError
 from ..engine.plan import ExecutionPlan, PlanWindow
 from ..engine.results import ScenarioResult
@@ -40,8 +44,8 @@ from .format import (
     STORE_VERSION,
     TILES_DIR,
     append_journal,
-    column_array,
     column_filenames,
+    column_record,
     encode_blob,
     journal_path,
     tile_dirname,
@@ -73,8 +77,19 @@ class TileWriter:
         self._path = str(path)
         self._layout = layout
         self._plan = layout.plan
-        self._columns: Optional[List[str]] = None
-        self._files: Dict[str, str] = {}
+        schemas = {tuple(sorted(schema, key=lambda column: column.name))
+                   for schema in self._plan.column_sets}
+        if len(schemas) > 1:
+            sets = [{column.name for column in schema} for schema in schemas]
+            differ = sorted(set.union(*sets) - set.intersection(*sets))
+            raise DomainError(
+                f"cannot write a tile store at {self._path!r}: the sweep's "
+                f"configuration groups declare different value columns "
+                f"({', '.join(differ)}); split the sweep, or stream it to "
+                f"JSONL or CSV"
+            )
+        self._columns = next(iter(schemas), ())
+        self._files = column_filenames([c.name for c in self._columns])
         self._records: Dict[int, Dict[str, Any]] = {}
         self.tiles_written = 0
         self.tiles_skipped = 0
@@ -102,23 +117,6 @@ class TileWriter:
         return os.path.join(self._path, TILES_DIR, tile_dirname(index))
 
     # ------------------------------------------------------------------ #
-    # Column bookkeeping
-    # ------------------------------------------------------------------ #
-
-    def _bind_columns(self, names: Sequence[str]) -> None:
-        ordered = sorted(names)
-        if self._columns is None:
-            self._columns = ordered
-            self._files = column_filenames(ordered)
-        elif ordered != self._columns:
-            raise DomainError(
-                f"tile store columns changed mid-run: expected "
-                f"{self._columns}, got {ordered}; all tiles of a store "
-                f"must share one column set (delete the store directory "
-                f"if the pipeline's outputs changed)"
-            )
-
-    # ------------------------------------------------------------------ #
     # Tile ingestion
     # ------------------------------------------------------------------ #
 
@@ -131,22 +129,13 @@ class TileWriter:
                 f"tile {tile.index} expects {tile.n_scenarios} rows, "
                 f"got {len(rows)}"
             )
-        self._bind_columns(list(rows[0].values))
-        assert self._columns is not None
         tile_dir = self.tile_dir(tile.index)
         os.makedirs(tile_dir, exist_ok=True)
         columns: Dict[str, Any] = {}
         with tracer.span("store.write_tile") as span:
-            for name in self._columns:
-                try:
-                    values = [row.values[name] for row in rows]
-                except KeyError:
-                    raise DomainError(
-                        f"tile {tile.index} row is missing column "
-                        f"{name!r}; all rows of a store must share one "
-                        f"column set"
-                    ) from None
-                arr = column_array(name, values)
+            for column in self._columns:
+                name = column.name
+                arr = column.to_array([row.values[name] for row in rows])
                 if not self._layout.linear:
                     arr = arr.reshape(tile.shape)
                 data, sha = encode_blob(arr)
@@ -189,19 +178,25 @@ class TileWriter:
         destination directory can be a later move's source, and staging
         through files keeps peak memory independent of how many tiles
         move).  Each staged file is consumed (renamed away) on use.
-        Returns the new record, or raises :class:`DomainError` if a
-        blob is missing or its size disagrees with the old record —
-        callers treat that as "execute the tile instead".  The record
+        Returns the new record, or raises :class:`DomainError` if the
+        old record's columns or dtypes differ from the declared schema,
+        or a blob is missing or its size disagrees with the old record
+        — callers treat that as "execute the tile instead".  The record
         is not journaled: pass it to
         :func:`~repro.store.format.append_journal`.
         """
-        self._bind_columns(list(old_record["columns"]))
-        assert self._columns is not None
+        declared = {column.name: column.dtype for column in self._columns}
+        if {name: col["dtype"] for name, col in
+                old_record["columns"].items()} != declared:
+            raise DomainError(
+                f"tile {tile.index} was stored with other columns or "
+                f"dtypes than the pipeline declares; re-executing"
+            )
         tile_dir = self.tile_dir(tile.index)
         in_place = os.path.realpath(source_dir) == os.path.realpath(tile_dir)
         columns: Dict[str, Any] = {}
         reused = 0
-        for name in self._columns:
+        for name in declared:
             old_col = old_record["columns"][name]
             filename = self._files[name]
             if in_place:
@@ -294,29 +289,8 @@ class TileWriter:
             )
         plan = self._plan
         records = [self._records[index] for index in range(layout.n_tiles)]
-        columns = self._columns or []
-        # Global column dtypes: promote across the per-tile dtypes so
-        # readers can allocate one output array per column.
-        column_meta = []
-        for name in columns:
-            dtypes = {record["columns"][name]["dtype"]
-                      for record in records}
-            try:
-                promoted = (
-                    str(np.result_type(*sorted(dtypes))) if dtypes
-                    else "float64"
-                )
-            except TypeError:
-                raise DomainError(
-                    f"column {name!r} mixes incompatible dtypes across "
-                    f"tiles ({sorted(dtypes)}); use a JSONL or CSV sink "
-                    f"for free-form rows"
-                ) from None
-            column_meta.append({
-                "name": name,
-                "dtype": promoted,
-                "file": self._files[name],
-            })
+        column_meta = [column_record(column, self._files[column.name])
+                       for column in self._columns]
         store_fp = hashlib.sha256(
             "".join(record["fingerprint"] for record in records)
             .encode("utf-8")
@@ -379,7 +353,9 @@ class TileSink(ResultSink):
     """A :class:`~repro.engine.sinks.ResultSink` writing a tile store.
 
     ``path`` is the store directory (created if needed; a previous
-    manifest there is replaced only when this run completes).  Tile
+    manifest there is replaced only when this run completes).  The
+    plan's configuration groups must declare one column set: anything
+    else is refused before the directory is touched.  Tile
     granularity comes from ``tile_scenarios`` (a target scenario count
     per tile, default ``16384``) or an explicit ``tile_shape`` (per-axis
     block sizes in pivot form — see :mod:`repro.store.layout`).

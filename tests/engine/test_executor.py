@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine import (
     BACKENDS,
+    Column,
     Pipeline,
     ResultCache,
     ScenarioSpec,
@@ -12,7 +13,6 @@ from repro.engine import (
     available_pipelines,
     get_pipeline,
     register,
-    run_scenario,
     run_sweep,
     run_sweep_streaming,
 )
@@ -38,6 +38,9 @@ class _UnbatchedPipeline(Pipeline):
 
     name = "executor_test_unbatched"
     defaults = {"x": 1.0}
+
+    def columns(self, config):
+        return (Column("doubled"),)
 
     def run(self, params, seed=None):
         merged = self.resolve(params)
@@ -153,14 +156,14 @@ class TestCachingBehaviour:
             _values_list(fresh)
         ) or _values_list(cached) == _values_list(fresh)
 
-    def test_run_scenario_uses_cache(self):
+    def test_single_scenario_sweep_uses_cache(self):
         cache = ResultCache()
         spec = ScenarioSpec(
             "survival_update",
             {"mode": 0.003, "sigma": 0.9, "points_per_decade": 60},
         )
-        first = run_scenario(spec, cache=cache)
-        second = run_scenario(spec, cache=cache)
+        first = run_sweep([spec], cache=cache)[0]
+        second = run_sweep([spec], cache=cache)[0]
         assert not first.from_cache
         assert second.from_cache
         assert dict(second.values) == dict(first.values)
@@ -191,14 +194,14 @@ class TestStochasticPipelines:
         }
         cache = ResultCache()
         spec = ScenarioSpec("bbn_query", base)  # no seed: fresh entropy
-        first = run_scenario(spec, cache=cache)
-        second = run_scenario(spec, cache=cache)
+        first = run_sweep([spec], cache=cache)[0]
+        second = run_sweep([spec], cache=cache)[0]
         assert not first.from_cache and not second.from_cache
         assert len(cache) == 0
         # With a seed the run is reproducible, so caching is back on.
         seeded = ScenarioSpec("bbn_query", base, seed=3)
-        run_scenario(seeded, cache=cache)
-        assert run_scenario(seeded, cache=cache).from_cache
+        run_sweep([seeded], cache=cache)
+        assert run_sweep([seeded], cache=cache)[0].from_cache
 
     def test_bbn_query_reproducible(self):
         base = {
@@ -208,7 +211,7 @@ class TestStochasticPipelines:
             "leg2_sensitivity": 0.9, "leg2_specificity": 0.85,
         }
         spec = ScenarioSpec("bbn_query", base, seed=5)
-        assert run_scenario(spec).values == run_scenario(spec).values
+        assert run_sweep([spec])[0].values == run_sweep([spec])[0].values
 
     def test_bbn_query_approximates_exact_two_leg(self):
         base = {
@@ -217,11 +220,11 @@ class TestStochasticPipelines:
             "leg1_specificity": 0.9, "leg2_validity": 0.88,
             "leg2_sensitivity": 0.9, "leg2_specificity": 0.85,
         }
-        exact = run_scenario(
-            ScenarioSpec("two_leg_posterior", base)).values["both_legs"]
-        approx = run_scenario(
-            ScenarioSpec("bbn_query", {**base, "n_samples": 20000}, seed=3)
-        ).values["p_claim"]
+        exact = run_sweep(
+            [ScenarioSpec("two_leg_posterior", base)])[0].values["both_legs"]
+        approx = run_sweep(
+            [ScenarioSpec("bbn_query", {**base, "n_samples": 20000}, seed=3)]
+        )[0].values["p_claim"]
         assert approx == pytest.approx(exact, abs=0.05)
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
+    Column,
     Pipeline,
     SweepSpec,
     available_pipelines,
@@ -347,6 +348,9 @@ class TestDispatchLayer:
             name = "test_tripler_pipeline"
             defaults = {"x": 1.0}
 
+            def columns(self, config):
+                return (Column("y"), Column("batched", "bool"))
+
             def run(self, params, seed=None):
                 return {"y": 3.0 * self.resolve(params)["x"]}
 
@@ -356,9 +360,9 @@ class TestDispatchLayer:
         from repro.engine.pipelines import _BATCH_KERNELS
 
         @register_batch_kernel("test_tripler_pipeline")
-        def _kernel(pipe, items):
-            return [{"y": 3.0 * pipe.resolve(p)["x"], "batched": True}
-                    for p, _seed in items]
+        def _kernel(config, params, seeds):
+            x = np.array([p["x"] for p in params])
+            return {"y": 3.0 * x, "batched": np.ones(len(params), bool)}
 
         try:
             assert pipeline.supports_batch

@@ -132,11 +132,19 @@ class TestLowering:
         assert params["points_per_decade"] == 400  # default filled in
         assert seed == scenarios[0].seed
 
-    def test_resolution_errors_surface_in_chunk_items(self):
+    def test_resolution_errors_surface_at_lower(self):
         sweep = SweepSpec(pipeline="survival_update",
                           base={"mode": 0.003, "sigma": 0.9, "demands": 1.5})
+        with pytest.raises(DomainError, match="demands must be an integer"):
+            lower(sweep)
+
+    def test_resolution_errors_surface_in_chunk_items(self):
+        # Scenario 0 and its one-axis neighbours are valid; the corner
+        # joining both axes (3 doubters of 2 experts) is not.
+        sweep = SweepSpec(pipeline="elicitation_pool",
+                          grid={"n_experts": [5, 2], "n_doubters": [0, 3]})
         plan = lower(sweep)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="doubter count"):
             plan.chunk_items(plan.chunk_scenarios(plan.chunk(0)))
 
     def test_out_of_range_indices_rejected(self):

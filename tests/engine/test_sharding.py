@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
+    Column,
     CsvSink,
     JsonlSink,
     MemorySink,
@@ -36,7 +37,6 @@ from repro.engine import (
     lower,
     register,
     run_sweep,
-    run_sweep_sharded,
     run_sweep_streaming,
     stream_results,
 )
@@ -80,6 +80,9 @@ class _CrashOncePipeline(Pipeline):
                 os._exit(9)
         return {"doubled": float(merged["i"]) * 2.0}
 
+    def columns(self, config):
+        return (Column("doubled"),)
+
 
 class _AlwaysCrashPipeline(Pipeline):
     """Dies hard every time it sees ``crash_at`` — exhausts retries."""
@@ -92,6 +95,9 @@ class _AlwaysCrashPipeline(Pipeline):
         if merged["i"] == merged["crash_at"]:
             os._exit(9)
         return {"doubled": float(merged["i"]) * 2.0}
+
+    def columns(self, config):
+        return (Column("doubled"),)
 
 
 class _BoomPipeline(Pipeline):
@@ -106,6 +112,9 @@ class _BoomPipeline(Pipeline):
             raise ValueError("boom from worker")
         return {"doubled": float(merged["i"]) * 2.0}
 
+    def columns(self, config):
+        return (Column("doubled"),)
+
 
 class _MarkPipeline(Pipeline):
     """Deterministic rows; each executing process touches a file named
@@ -119,6 +128,9 @@ class _MarkPipeline(Pipeline):
         if merged["marks"]:
             open(os.path.join(merged["marks"], str(os.getpid())), "a").close()
         return {"doubled": float(merged["i"]) * 2.0}
+
+    def columns(self, config):
+        return (Column("doubled"),)
 
 
 register(_CrashOncePipeline())
@@ -356,7 +368,7 @@ class TestShardedRuns:
             SURVIVAL_SWEEP, tmp_path / "ref.jsonl", chunk_size=2
         )
         out = tmp_path / "out.jsonl"
-        meta = run_sweep_sharded(
+        meta = run_sweep_streaming(
             SURVIVAL_SWEEP, shards=shards, chunk_size=2,
             sinks=(JsonlSink(str(out)),),
         )
@@ -374,7 +386,7 @@ class TestShardedRuns:
             PANEL_SWEEP, tmp_path / "ref.jsonl", chunk_size=3
         )
         out = tmp_path / "out.jsonl"
-        run_sweep_sharded(
+        run_sweep_streaming(
             PANEL_SWEEP, shards=3, chunk_size=3,
             sinks=(JsonlSink(str(out)),),
         )
@@ -382,7 +394,7 @@ class TestShardedRuns:
 
     def test_memory_sink_round_trips_results(self):
         sink = MemorySink()
-        meta = run_sweep_sharded(
+        meta = run_sweep_streaming(
             SURVIVAL_SWEEP, shards=2, chunk_size=4, sinks=(sink,)
         )
         reference = MemorySink()
@@ -409,7 +421,7 @@ class TestShardedRuns:
 
     def test_progress_reaches_the_end(self, tmp_path):
         calls = []
-        run_sweep_sharded(
+        run_sweep_streaming(
             SURVIVAL_SWEEP, shards=2, chunk_size=5,
             sinks=(JsonlSink(str(tmp_path / "o.jsonl")),),
             progress=lambda *args: calls.append(args),
@@ -419,7 +431,7 @@ class TestShardedRuns:
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises(DomainError):
-            run_sweep_sharded(SURVIVAL_SWEEP, shards=0)
+            run_sweep_streaming(SURVIVAL_SWEEP, shards=0)
 
     def test_max_workers_rejected_with_shards(self):
         # One worker process per shard, and no other pool: there is no
@@ -573,7 +585,7 @@ class TestWorkerDeath:
         )
         flag.write_text("armed")
         out = tmp_path / "out.jsonl"
-        meta = run_sweep_sharded(
+        meta = run_sweep_streaming(
             self._sweep(flag), shards=2, chunk_size=2,
             sinks=(JsonlSink(str(out)),),
         )
@@ -589,7 +601,7 @@ class TestWorkerDeath:
             grid={"i": list(range(8))},
         )
         with pytest.raises(DomainError) as excinfo:
-            run_sweep_sharded(
+            run_sweep_streaming(
                 sweep, shards=1, chunk_size=2,
                 sinks=(MemorySink(),), max_retries=1,
             )
@@ -602,7 +614,7 @@ class TestWorkerDeath:
             grid={"i": list(range(8))},
         )
         with pytest.raises(DomainError) as excinfo:
-            run_sweep_sharded(
+            run_sweep_streaming(
                 sweep, shards=2, chunk_size=2, sinks=(MemorySink(),)
             )
         assert "boom from worker" in str(excinfo.value)

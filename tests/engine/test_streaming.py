@@ -129,7 +129,7 @@ class TestStreamedEqualsCollected:
             assert (collected["chunk_size"] == meta["chunk_size"]
                     == DEFAULT_CHUNK_SIZE)
         big = SweepSpec(pipeline="survival_update",
-                        base=dict(SURVIVAL_SWEEP.base),
+                        base={**SURVIVAL_SWEEP.base, "sigma": 0.9},
                         grid={"demands": list(range(100_000))})
         window, _effective, _label = _resolve_backend(big, "vectorized")
         assert window.plan.chunk_size == DEFAULT_CHUNK_SIZE
@@ -282,53 +282,36 @@ class TestSinks:
             run_sweep_streaming(SURVIVAL_SWEEP, sinks=(good, bad))
         assert closed == [True]
 
-    def test_csv_sink_rejects_new_columns_loudly(self, tmp_path):
-        # A streamed CSV's header is fixed by the first chunk; a later
-        # row adding a column must raise, never silently truncate.
-        from repro.engine import ScenarioSpec, ScenarioResult
-
-        sink = CsvSink(str(tmp_path / "rows.csv"))
-        sink.open(None)
-        try:
-            spec = ScenarioSpec("survival_update", {"mode": 0.003})
-            sink.write([ScenarioResult(spec, {"a": 1.0})])
-            with pytest.raises(DomainError) as excinfo:
-                sink.write([ScenarioResult(spec, {"a": 1.0, "b": 2.0})])
-            assert "JSONL" in str(excinfo.value)
-        finally:
-            sink.close()
-
     def test_csv_sink_writes_missing_columns_empty(self, tmp_path):
-        from repro.engine import ScenarioSpec, ScenarioResult
-
+        # The header is the union of the configuration groups' declared
+        # columns: JM rows leave the LV fit columns empty and back.
+        sweep = SweepSpec(pipeline="sil_from_growth",
+                          grid={"model": ["jm", "lv"]}, seed=4)
         path = tmp_path / "rows.csv"
-        sink = CsvSink(str(path))
-        sink.open(None)
-        try:
-            spec = ScenarioSpec("survival_update", {"mode": 0.003})
-            sink.write([ScenarioResult(spec, {"a": 1.0, "b": 2.0})])
-            sink.write([ScenarioResult(spec, {"a": 3.0})])
-        finally:
-            sink.close()
+        run_sweep_streaming(sweep, chunk_size=1, sinks=(CsvSink(str(path)),))
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
-        assert rows[1]["b"] == ""
+        assert rows[0]["alpha_hat"] == "" and rows[0]["n_faults_hat"] != ""
+        assert rows[1]["n_faults_hat"] == "" and rows[1]["alpha_hat"] != ""
 
     def test_csv_sink_flushes_per_chunk(self, tmp_path):
         # Crash-tolerance parity with JsonlSink: rows must be on disk
         # at every chunk boundary, not buffered until close().
-        from repro.engine import ScenarioSpec, ScenarioResult
-
+        plan = lower(SweepSpec(pipeline="survival_update",
+                               base={"mode": 0.003, "sigma": 0.9},
+                               grid={"demands": [0, 10]}), chunk_size=1)
         path = tmp_path / "rows.csv"
         sink = CsvSink(str(path))
-        sink.open(None)
+        sink.open(plan)
         try:
-            spec = ScenarioSpec("survival_update", {"mode": 0.003})
-            sink.write([ScenarioResult(spec, {"a": 1.0})])
+            sink.write(next(stream_results(plan)))
             mid_run = path.read_text()
         finally:
             sink.close()
-        assert mid_run.strip().splitlines() == ["mode,a", "0.003,1.0"]
+        lines = mid_run.strip().splitlines()
+        assert lines[0] == ("mode,sigma,demands,mean,median,posterior_mode,"
+                            "confidence")
+        assert len(lines) == 2 and lines[1].startswith("0.003,0.9,0,")
 
     def test_progress_counters(self):
         calls = []

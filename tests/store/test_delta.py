@@ -368,7 +368,10 @@ class TestDeltaGuards:
     def test_unseeded_stochastic_pipeline_rejected(self, tmp_path):
         sweep = SweepSpec(
             pipeline="bbn_query",
-            base={"n_samples": 50},
+            base={"n_samples": 50, "prior": 0.6,
+                  "leg1_validity": 0.9, "leg1_sensitivity": 0.95,
+                  "leg1_specificity": 0.9, "leg2_validity": 0.88,
+                  "leg2_sensitivity": 0.9, "leg2_specificity": 0.85},
             grid={"dependence": [0.1, 0.2]},
         )
         sink = TileSink(str(tmp_path / "store"))

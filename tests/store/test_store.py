@@ -18,7 +18,6 @@ from repro.engine import (
     SweepSpec,
     lower,
     run_sweep,
-    run_sweep_sharded,
     run_sweep_streaming,
 )
 from repro.errors import DomainError
@@ -85,7 +84,7 @@ class TestTileSink:
     def test_sharded_run_writes_identical_store(self, tmp_path):
         path_one, _s, _m = materialise(tmp_path / "one", tile_scenarios=4)
         path_shard = str(tmp_path / "sharded" / "store")
-        run_sweep_sharded(
+        run_sweep_streaming(
             SWEEP, shards=2,
             sinks=(TileSink(path_shard, tile_scenarios=4),),
         )
@@ -131,26 +130,16 @@ class TestTileSink:
         assert not os.path.exists(os.path.join(path, "manifest.json"))
 
     def test_mixed_column_sets_rejected(self, tmp_path):
-        from repro.engine.results import ScenarioResult
+        # JM and LV rows declare different fit columns: the writer
+        # refuses the plan before it touches the directory.
         from repro.store import TileLayout, TileWriter
 
-        scenarios = [
-            ScenarioSpec(pipeline="survival_update",
-                         params={"mode": 0.003, "sigma": 0.9,
-                                 "demands": 10 * i, "bound": 1e-2})
-            for i in range(2)
-        ]
-        plan = lower(scenarios)
-        layout = TileLayout(plan, tile_scenarios=1)
-        writer = TileWriter(str(tmp_path / "store"), layout)
-        tiles = list(layout.tiles())
-        writer.write_tile(tiles[0], [
-            ScenarioResult(spec=scenarios[0], values={"a": 1.0}),
-        ])
-        with pytest.raises(DomainError, match="column"):
-            writer.write_tile(tiles[1], [
-                ScenarioResult(spec=scenarios[1], values={"b": 2.0}),
-            ])
+        plan = lower(SweepSpec(pipeline="sil_from_growth",
+                               grid={"model": ["jm", "lv"]}, seed=1))
+        path = tmp_path / "store"
+        with pytest.raises(DomainError, match="different value columns"):
+            TileWriter(str(path), TileLayout(plan, tile_scenarios=1))
+        assert not path.exists()
 
     def test_linear_store_from_explicit_scenarios(self, tmp_path):
         scenarios = [

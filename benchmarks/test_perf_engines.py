@@ -311,7 +311,7 @@ def test_perf_streaming_million_scenario_case_sweep(
     # Scalar baseline: the recursive per-scenario oracle on a 1k sample.
     pipeline = get_pipeline("case_confidence")
     sample_plan = lower(sweep, chunk_size=1000)
-    sample = sample_plan.chunk_scenarios(sample_plan.chunk(0))
+    sample = sample_plan.batch(sample_plan.chunk(0)).specs()
     run_sweep(sample[:10], backend="serial")  # warm caches once
     start = time.perf_counter()
     for scenario in sample:

@@ -16,6 +16,7 @@ fast:
 * :func:`run_sweep_streaming` — the same execution core, chunk by chunk
   through pluggable sinks (:class:`JsonlSink`, :class:`CsvSink`,
   :class:`MemorySink`) in constant memory — the million-scenario path;
+  each chunk reaches the sinks as one column :class:`Batch`;
 * ``shards=k`` on either — the engine's one parallel path: the run's
   window split across worker processes with strictly ordered merge and
   worker-death retry (:mod:`~repro.engine.coordinator`); a killed run written to a
@@ -51,7 +52,6 @@ Quickstart::
 
 from . import kernels
 from .cache import ResultCache
-from .executor import BACKENDS, run_sweep
 from .kernels import survival_sweep_columns
 from .pipelines import (
     Column,
@@ -62,10 +62,10 @@ from .pipelines import (
     register_batch_kernel,
 )
 from .plan import Chunk, ExecutionPlan, PlanWindow, lower
-from .results import ResultSet, ScenarioResult
+from .results import Batch, ResultSet, ScenarioResult
 from .sinks import CsvSink, JsonlSink, MemorySink, ResultSink
 from .spec import ScenarioSpec, SweepSpec, canonical_key, load_sweeps
-from .stream import run_sweep_streaming, stream_results
+from .stream import BACKENDS, run_sweep, run_sweep_streaming, stream_results
 
 __all__ = [
     "kernels",
@@ -89,6 +89,7 @@ __all__ = [
     "get_pipeline",
     "register",
     "register_batch_kernel",
+    "Batch",
     "ResultSet",
     "ScenarioResult",
     "ScenarioSpec",

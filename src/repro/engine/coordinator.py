@@ -11,12 +11,14 @@ coordination with nothing beyond the stdlib:
   parts of near-equal scenario counts
   (:meth:`~repro.engine.plan.PlanWindow.split`) and runs each in
   its own worker **process** through the ordinary in-process executor:
-  the worker decodes, runs and encodes its own rows and spills each
-  chunk to disk.  :class:`ShardedChunks` hands the chunks back to the
-  executor loop in strict scenario order — whole, even where a shard
-  boundary cut one in two — so the sinks, which live in the parent,
-  see the caller's plan and chunk layout and write every row and tile
-  exactly as a single-process run would.
+  the worker runs its chunks and spills each one's value columns to
+  disk as pickled arrays.  :class:`ShardedChunks` hands the chunks back
+  to the executor loop in strict scenario order as
+  :class:`~repro.engine.results.Batch` es — whole, the pieces of a
+  chunk a shard boundary cut in two concatenated, and parameter planes
+  and seeds gathered from the parent's plan — so the sinks, which live
+  in the parent, see the caller's plan and chunk layout and write every
+  row and tile exactly as a single-process run would.
 * Worker death (OOM kill, segfault, ``kill -9``) is detected by
   liveness polling and answered with bounded retry: a fresh worker is
   assigned the dead one's *remaining* scenarios.  Pipeline errors, by
@@ -39,13 +41,15 @@ import pickle
 import queue as queue_module
 import shutil
 import tempfile
-from typing import Any, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
+
+import numpy as np
 
 from ..errors import DomainError
 from ..telemetry import metrics
 from .cache import ResultCache
 from .plan import PlanWindow
-from .sinks import JsonlSink
+from .results import Batch
 
 __all__ = ["ShardedChunks", "check_sharding"]
 
@@ -62,16 +66,14 @@ _POLL_S = 0.1
 
 def _shard_worker(window: PlanWindow, backend: str,
                   cache_path: Optional[str], part_path: str,
-                  out_queue, text_mode: bool) -> None:
+                  out_queue) -> None:
     """Run ``window``, spilling each finished chunk to ``part_path``.
 
-    Each chunk's payload — pre-encoded JSONL text in ``text_mode`` (so
-    the parent appends it verbatim instead of re-serialising every
-    row), the raw ``ScenarioResult`` rows otherwise — is pickled to
-    ``part_path`` and *flushed* before a tiny ``("chunk", start,
-    n_rows, cache_hits)`` message is queued, so every announced chunk
-    is readable.  The disk spill is what lets every shard run at full
-    speed while the parent drains shards in order: backpressure would
+    Each chunk's columns — the batch's ``(values, from_cache)`` arrays —
+    are pickled to ``part_path`` and *flushed* before a tiny ``("chunk",
+    start, n_rows)`` message is queued, so every announced chunk is
+    readable.  The disk spill is what lets every shard run at full speed
+    while the parent drains shards in order: backpressure would
     serialise the sweep, and unbounded queues would buffer it in
     memory.  Ends with ``("done", total_rows)``; failures put
     ``("error", message)`` — a pipeline failure's message is the one
@@ -85,19 +87,13 @@ def _shard_worker(window: PlanWindow, backend: str,
 
         cache = ResultCache(path=cache_path) if cache_path else None
         with open(part_path, "wb") as part:
-            for chunk, results in zip(
-                window.chunks(),
-                stream_results(window, backend=backend, cache=cache),
-            ):
-                hits = sum(1 for result in results if result.from_cache)
-                payload = (
-                    JsonlSink.encode(results) if text_mode else results
-                )
-                pickle.dump(payload, part,
+            for batch in stream_results(window, backend=backend,
+                                        cache=cache):
+                pickle.dump((batch.values, batch.from_cache), part,
                             protocol=pickle.HIGHEST_PROTOCOL)
                 part.flush()
-                out_queue.put(("chunk", chunk.start, len(results), hits))
-                done += len(results)
+                out_queue.put(("chunk", batch.start, len(batch)))
+                done += len(batch)
         out_queue.put(("done", done))
     except BaseException as exc:  # noqa: BLE001 — surfaced by the parent
         message = (str(exc) if isinstance(exc, DomainError)
@@ -148,23 +144,20 @@ def check_sharding(shards: int, max_retries: int,
 class ShardedChunks:
     """A window's chunks computed by ``shards`` worker processes.
 
-    Iterating starts the workers and yields ``(payload, n_rows,
-    cache_hits)`` for each chunk of ``window`` in scenario order — the
-    payload is the chunk's JSONL text in ``text_mode``, else its
-    ``ScenarioResult`` rows — and stops them on exit, however the
-    iteration ends.  :attr:`retries` counts respawned workers.  Workers
-    open ``cache`` from its disk log, so a cache must have a ``path``.
+    Iterating starts the workers and yields each chunk of ``window`` as
+    an executed :class:`~repro.engine.results.Batch`, in scenario order,
+    and stops them on exit, however the iteration ends.
+    :attr:`retries` counts respawned workers.  Workers open ``cache``
+    from its disk log, so a cache must have a ``path``.
     """
 
     def __init__(self, window: PlanWindow, shards: int, backend: str,
-                 cache: Optional[ResultCache], text_mode: bool,
-                 max_retries: int):
+                 cache: Optional[ResultCache], max_retries: int):
         check_sharding(shards, max_retries, cache)
         self._window = window
         self._shards = shards
         self._backend = backend
         self._cache_path = cache.path if cache is not None else None
-        self._text_mode = text_mode
         self._max_retries = max_retries
         self.retries = 0
 
@@ -182,7 +175,7 @@ class ShardedChunks:
         state.process = multiprocessing.Process(
             target=_shard_worker,
             args=(remaining, self._backend, self._cache_path,
-                  state.part_path, state.queue, self._text_mode),
+                  state.part_path, state.queue),
             daemon=True,
             name=f"repro-shard-{state.index}",
         )
@@ -190,9 +183,9 @@ class ShardedChunks:
 
     def _next_chunk(
         self, state: _ShardState
-    ) -> Optional[Tuple[int, int, int]]:
-        """The worker's next ``(start, n_rows, cache_hits)``, or None
-        after a poll interval (respawning a dead worker)."""
+    ) -> Optional[Tuple[int, int]]:
+        """The worker's next ``(start, n_rows)``, or None after a poll
+        interval (respawning a dead worker)."""
         try:
             message = state.queue.get(timeout=_POLL_S)
         except (queue_module.Empty, EOFError, OSError):
@@ -220,7 +213,7 @@ class ShardedChunks:
             return None
         return message[1:]
 
-    def __iter__(self) -> Iterator[Tuple[Any, int, int]]:
+    def __iter__(self) -> Iterator[Batch]:
         window = self._window
         if not window.n_scenarios:
             return
@@ -236,15 +229,16 @@ class ShardedChunks:
                     self._spawn(state)
             # Workers cut their chunks at shard boundaries too; pieces
             # are joined back into the window's own chunks here.
+            plan = window.plan
             chunks = window.chunks()
             chunk = next(chunks)
-            parts, filled, hits = [], 0, 0
+            pieces, filled = [], 0
             for state in states:
                 while state.done < state.window.n_scenarios:
                     message = self._next_chunk(state)
                     if message is None:
                         continue
-                    start, n_rows, chunk_hits = message
+                    start, n_rows = message
                     if (start != chunk.start + filled
                             or filled + n_rows > len(chunk)):
                         raise DomainError(
@@ -255,17 +249,20 @@ class ShardedChunks:
                         )
                     # The worker flushed this chunk's frame before
                     # announcing it, so the read cannot hit EOF.
-                    parts.append(pickle.load(state.part_handle))
+                    pieces.append(pickle.load(state.part_handle))
                     state.done += n_rows
                     filled += n_rows
-                    hits += chunk_hits
                     if filled == len(chunk):
-                        payload = (
-                            "".join(parts) if self._text_mode
-                            else [row for part in parts for row in part]
-                        )
-                        yield payload, filled, hits
-                        parts, filled, hits = [], 0, 0
+                        batch = plan.batch(chunk)
+                        values, from_cache = zip(*pieces)
+                        batch.values = {
+                            name: np.concatenate([piece[name]
+                                                  for piece in values])
+                            for name in values[0]
+                        }
+                        batch.from_cache = np.concatenate(from_cache)
+                        yield batch
+                        pieces, filled = [], 0
                         chunk = next(chunks, None)
                 if state.process is not None:
                     state.process.join(timeout=5)

@@ -18,9 +18,9 @@ declarations plus the scalar oracle:
     every row of a run sees one version of each file.
 ``config``
     The parameters that fix a kernel's *configuration* rather than its
-    arithmetic (band scheme, growth model, grid sizes, case file).
-    :meth:`Pipeline.run_batch` groups a chunk by their resolved values
-    and calls the batch kernel once per group.
+    arithmetic (band scheme, growth model, grid sizes, case file).  The
+    plan groups a chunk by their resolved values, and
+    :meth:`Pipeline.run_batch` runs one group.
 ``columns(config)``
     The value columns rows of one configuration carry, in row order:
     name, NumPy dtype and the *nodata* value that stands for ``None``
@@ -34,62 +34,15 @@ declarations plus the scalar oracle:
 
 Batch kernels register against a pipeline name with
 :func:`register_batch_kernel`.  A kernel is called as
-``kernel(config, params, seeds)`` with one configuration group's
-resolved configuration, its resolved parameter dicts and its seeds, and
+``kernel(config, planes, seeds)`` with one configuration group's
+resolved configuration, its resolved *parameter planes* (one array per
+parameter, resolved once per axis value by the plan) and its seeds, and
 returns ``{column: ndarray}`` in the declared schema (nodata where a
-row has no value); one adapter in :meth:`Pipeline.run_batch` turns the
-arrays back into row dicts (``ndarray.tolist()``, nodata to ``None``).
-Kernels never resolve parameters themselves: the plan resolved them.
+row has no value).
 
-Registered pipelines:
-
-``survival_update``
-    Section 4.1 tail cut-off of a log-normal judgement by failure-free
-    demands; batched.
-``two_leg_posterior``
-    Exact BBN posterior for the Section 4.2 two-leg argument; batched
-    via CPT parameter planes on the shared compiled network.
-``bbn_query``
-    Monte-Carlo (likelihood-weighting) query of the same two-leg network;
-    stochastic, driven by the scenario seed; batched (each scenario keeps
-    its own stream, so batch rows equal scalar runs bit-for-bit).
-``case_confidence``
-    A whole quantified dependability case (YAML file of GSN nodes +
-    node confidence models, :mod:`repro.arguments.quantified`): every
-    ``"<node>.<param>"`` dial is sweepable and the compiled case engine
-    evaluates all scenarios in one vectorized pass; batched.
-``sil_classification``
-    The Section 3 mode/mean/confidence SIL classification views; batched.
-``panel_run``
-    The Figure 5 four-phase 12-expert panel simulation; stochastic,
-    batched (the protocol's narrowing/convergence dynamics run as array
-    recurrences across scenarios; only final-phase judgements are
-    materialised).
-``sil_from_growth``
-    The Section 3 growth-model SIL route: simulate a failure history
-    (Jelinski-Moranda or Littlewood-Verrall), grid-fit the model, derive
-    a margined judgement and the grantable SIL; stochastic, batched via
-    the JM/LV likelihood-grid kernels.
-``elicitation_pool``
-    A synthetic expert panel pooled linearly with equal or
-    information-based weights; stochastic, batched.
-``expert_calibration``
-    Proper-score calibration (Brier / log score / interval coverage) of
-    one expert judgement against simulated ground truths; stochastic,
-    batched.
-``alarp_decision``
-    ALARP region of the judgement mean plus the ACARP confidence
-    verdict; batched.
-``iec61508_sil``
-    The SIL grantable under one of IEC 61508's confidence clauses;
-    batched.
-``do178b_map``
-    DO-178B assurance-level guidance rates, the comparable SIL, and the
-    confidence a judgement meets the guidance; batched.
-``conservatism_audit``
-    The paper-closing warning made executable: does a stage-wise
-    "conservative" 1oo2 figure still bound the analytic beta-factor
-    end-to-end mean?  Batched.
+The thirteen registered pipelines (:func:`available_pipelines`) are
+the classes below; each docstring names the paper section it sweeps,
+and README's pipeline table gives an example spec for each.
 """
 
 from __future__ import annotations
@@ -104,6 +57,7 @@ from ..numerics import ensure_rng
 from ..telemetry import tracer
 from . import kernels as _kernels
 from .kernels import NO_LEVEL
+from .results import rows_of
 
 __all__ = [
     "Column",
@@ -114,10 +68,9 @@ __all__ = [
     "available_pipelines",
 ]
 
-RunItem = Tuple[Dict[str, Any], Optional[int]]
+Planes = Mapping[str, np.ndarray]
 BatchKernel = Callable[
-    [Dict[str, Any], List[Dict[str, Any]], List[Optional[int]]],
-    Dict[str, np.ndarray],
+    [Dict[str, Any], Planes, List[Optional[int]]], Dict[str, np.ndarray],
 ]
 #: Content a plan loaded at lower(): ``(parameter, value) -> (content,
 #: content hash)``.
@@ -155,9 +108,10 @@ def _floats(*names: str) -> Tuple[Column, ...]:
     return tuple(Column(name) for name in names)
 
 
-def _plane(params: Sequence[Mapping[str, Any]], name: str) -> np.ndarray:
-    """One parameter across a group's rows as a float array."""
-    return np.array([p[name] for p in params], dtype=float)
+def _rows(planes: Planes, n: int) -> List[Dict[str, Any]]:
+    """Resolved parameters row by row, for per-row (random) work."""
+    return rows_of({name: plane.tolist() for name, plane in planes.items()},
+                   n)
 
 
 class Pipeline:
@@ -204,6 +158,12 @@ class Pipeline:
             )
         return merged
 
+    def invalid(self, planes: Planes) -> Optional[np.ndarray]:
+        """Rows of resolved ``planes`` failing a check of :meth:`resolve`
+        that joins parameters (lowering checks each value on its own);
+        ``None`` when there is none."""
+        return None
+
     def load(self, name: str, value: Any) -> Tuple[Any, str]:
         """What content parameter ``name`` = ``value`` refers to, loaded,
         and its content hash (what cache keys and fingerprints fold)."""
@@ -224,35 +184,24 @@ class Pipeline:
         """Execute one scenario; returns a flat dict of result columns."""
         raise NotImplementedError
 
-    def run_batch(self, items: Sequence[RunItem]) -> List[Dict[str, Any]]:
-        """Execute resolved ``(params, seed)`` items, one row dict each.
-
-        Groups the items by their ``config`` values, calls the batch
-        kernel once per group and turns its declared columns into row
-        dicts; without a registered kernel it loops over :meth:`run`.
-        """
-        kernel = _BATCH_KERNELS.get(self.name)
+    def run_batch(self, config: Dict[str, Any], planes: Planes,
+                  seeds: Sequence[Optional[int]],
+                  scalar: bool = False) -> Dict[str, np.ndarray]:
+        """One configuration group's declared value columns, from its
+        resolved parameter ``planes`` and ``seeds``: the batch kernel's,
+        or — ``scalar`` (the serial backend) or without one — :meth:`run`
+        row by row."""
+        kernel = None if scalar else _BATCH_KERNELS.get(self.name)
         with tracer.span("kernel.dispatch", pipeline=self.name,
-                         n_items=len(items),
+                         n_items=len(seeds),
                          vectorized=kernel is not None):
-            if kernel is None:
-                return [self.run(params, seed) for params, seed in items]
-            groups: Dict[tuple, List[int]] = {}
-            for index, (params, _seed) in enumerate(items):
-                key = tuple(params[name] for name in self.config)
-                groups.setdefault(key, []).append(index)
-            rows: List[Dict[str, Any]] = [None] * len(items)  # type: ignore
-            for key, indices in groups.items():
-                config = dict(zip(self.config, key))
-                arrays = kernel(config, [items[i][0] for i in indices],
-                                [items[i][1] for i in indices])
-                schema = self.columns(config)
-                names = [column.name for column in schema]
-                values = zip(*(column.to_rows(arrays[column.name])
-                               for column in schema))
-                for index, row in zip(indices, values):
-                    rows[index] = dict(zip(names, row))
-            return rows
+            if kernel is not None:
+                return kernel(config, planes, seeds)
+            rows = [self.run(params, seed)
+                    for params, seed in zip(_rows(planes, len(seeds)), seeds)]
+            return {column.name: column.to_array([row[column.name]
+                                                  for row in rows])
+                    for column in self.columns(config)}
 
 
 _REGISTRY: Dict[str, Pipeline] = {}
@@ -279,7 +228,7 @@ def register(pipeline: Pipeline) -> Pipeline:
 def register_batch_kernel(pipeline_name: str):
     """Decorator: register a vectorised batch kernel for a pipeline name.
 
-    The kernel is called as ``kernel(config, params, seeds)`` for one
+    The kernel is called as ``kernel(config, planes, seeds)`` for one
     configuration group and returns ``{column: ndarray}`` in the
     pipeline's declared schema, matching :meth:`Pipeline.run` to 1e-12.
     """
@@ -392,14 +341,14 @@ class SurvivalUpdatePipeline(Pipeline):
 
 
 @register_batch_kernel("survival_update")
-def _survival_update_batch(config, params, seeds):
+def _survival_update_batch(config, planes, seeds):
     from ..numerics import log_grid
 
     grid = log_grid(float(config["grid_low"]), float(config["grid_high"]),
                     int(config["points_per_decade"]))
     columns = _kernels.survival_sweep_columns(
-        _plane(params, "mode"), _plane(params, "sigma"),
-        _plane(params, "demands"), _plane(params, "bound"), grid,
+        planes["mode"], planes["sigma"], planes["demands"], planes["bound"],
+        grid,
     )
     return {**columns, "posterior_mode": columns["mode"]}
 
@@ -473,11 +422,11 @@ class TwoLegPosteriorPipeline(Pipeline):
 
 
 @register_batch_kernel("two_leg_posterior")
-def _two_leg_posterior_batch(config, params, seeds):
+def _two_leg_posterior_batch(config, planes, seeds):
     from ..arguments import two_leg_posterior_sweep
 
     return two_leg_posterior_sweep(
-        *(_plane(params, name) for name in TwoLegPosteriorPipeline.PLANES)
+        *(planes[name] for name in TwoLegPosteriorPipeline.PLANES)
     )
 
 
@@ -532,25 +481,24 @@ _LW_CHUNK_ELEMENTS = 2_000_000
 
 
 @register_batch_kernel("bbn_query")
-def _bbn_query_batch(config, params, seeds):
+def _bbn_query_batch(config, planes, seeds):
     from ..arguments.multileg import _two_leg_template, two_leg_cpt_planes
 
     n_samples = config["n_samples"]
     evidence = {"evidence_leg1": "true", "evidence_leg2": "true"}
-    p_claim = np.empty(len(params))
+    p_claim = np.empty(len(seeds))
     step = max(1, _LW_CHUNK_ELEMENTS // max(n_samples, 1))
-    for start in range(0, len(params), step):
-        chunk = params[start:start + step]
-        planes = two_leg_cpt_planes(
-            *(_plane(chunk, name) for name in TwoLegPosteriorPipeline.PLANES)
-        )
+    for start in range(0, len(seeds), step):
+        rows = slice(start, start + step)
         posterior = _two_leg_template().likelihood_weighting_batch(
             "claim", evidence,
             n_samples=n_samples,
-            rngs=[ensure_rng(seed) for seed in seeds[start:start + step]],
-            cpt_planes=planes,
+            rngs=[ensure_rng(seed) for seed in seeds[rows]],
+            cpt_planes=two_leg_cpt_planes(*(
+                planes[name][rows] for name in TwoLegPosteriorPipeline.PLANES
+            )),
         )
-        p_claim[start:start + len(chunk)] = posterior[:, 0]
+        p_claim[rows] = posterior[:, 0]
     return {"p_claim": p_claim}
 
 
@@ -642,13 +590,13 @@ class CaseConfidencePipeline(Pipeline):
 
 
 @register_batch_kernel("case_confidence")
-def _case_confidence_batch(config, params, seeds):
+def _case_confidence_batch(config, planes, seeds):
     from ..arguments import compile_case
 
     compiled = compile_case(config["case_file"])
     sweep = compiled.evaluate_sweep(
-        {name: _plane(params, name) for name in compiled.parameter_defaults()},
-        n_scenarios=len(params),
+        {name: planes[name] for name in compiled.parameter_defaults()},
+        n_scenarios=len(seeds),
     )
     top = sweep[compiled.root_id]
     return {
@@ -714,10 +662,10 @@ class SilClassificationPipeline(Pipeline):
 
 
 @register_batch_kernel("sil_classification")
-def _sil_classification_batch(config, params, seeds):
+def _sil_classification_batch(config, planes, seeds):
     scheme = _band_scheme(config["scheme"])
-    sigmas = _plane(params, "sigma")
-    mu = _kernels.lognormal_mu_from_mode(_plane(params, "mode"), sigmas)
+    sigmas = planes["sigma"]
+    mu = _kernels.lognormal_mu_from_mode(planes["mode"], sigmas)
     means, mode_values, _ = _kernels.lognormal_moments(mu, sigmas)
     mode_levels = _kernels.band_levels_of(mode_values, scheme)
     mean_levels = _kernels.band_levels_of(means, scheme)
@@ -729,7 +677,7 @@ def _sil_classification_batch(config, params, seeds):
         "mode_level": mode_levels,
         "mean_level": mean_levels,
         "granted_level": _kernels.granted_levels(
-            confidences, _plane(params, "required_confidence")
+            confidences, planes["required_confidence"]
         ),
         "optimistic_gap": np.where(known, mode_levels - mean_levels, 0),
         **{f"sil{level}_confidence": values
@@ -787,7 +735,7 @@ class PanelRunPipeline(Pipeline):
 
 
 @register_batch_kernel("panel_run")
-def _panel_run_batch(config, params, seeds):
+def _panel_run_batch(config, planes, seeds):
     """Batched panel sweeps: the four-phase dynamics as array passes.
 
     Each scenario's panel is still seeded expert-by-expert (the draw
@@ -1040,12 +988,13 @@ class SilFromGrowthPipeline(Pipeline):
 
 
 @register_batch_kernel("sil_from_growth")
-def _sil_from_growth_batch(config, params, seeds):
+def _sil_from_growth_batch(config, planes, seeds):
     from ..growthmodels import candidate_ladder, relative_lattice
 
     n_observed = config["n_observed"]
-    times_rows = np.empty((len(params), n_observed))
-    for position, (merged, seed) in enumerate(zip(params, seeds)):
+    times_rows = np.empty((len(seeds), n_observed))
+    for position, (merged, seed) in enumerate(zip(_rows(planes, len(seeds)),
+                                                  seeds)):
         times_rows[position] = SilFromGrowthPipeline._simulate(
             merged, ensure_rng(seed)
         )
@@ -1066,9 +1015,9 @@ def _sil_from_growth_batch(config, params, seeds):
         psi = fit["beta0_hat"] + fit["beta1_hat"] * (n_observed + 1)
         intensity = fit["alpha_hat"] / psi
         fit["shows_growth"] = fit["beta1_hat"] > 0
-    margin = _plane(params, "assumption_margin_decades")
+    margin = planes["assumption_margin_decades"].astype(float)
     judgement_mode = np.minimum(intensity * 10.0**margin, 0.5)
-    judgement_sigma = _plane(params, "base_sigma") + 0.25 * margin
+    judgement_sigma = planes["base_sigma"].astype(float) + 0.25 * margin
     mu = _kernels.lognormal_mu_from_mode(judgement_mode, judgement_sigma)
     confidences = _kernels.band_confidence_sweep(
         mu, judgement_sigma, _band_scheme(config["scheme"])
@@ -1080,7 +1029,7 @@ def _sil_from_growth_batch(config, params, seeds):
         "judgement_mode": judgement_mode,
         "judgement_sigma": judgement_sigma,
         "granted_sil": _kernels.granted_levels(
-            confidences, _plane(params, "required_confidence")
+            confidences, planes["required_confidence"]
         ),
     }
 
@@ -1137,6 +1086,11 @@ class ElicitationPoolPipeline(Pipeline):
         if not 0 < merged["sigma_low"] <= merged["sigma_high"]:
             raise DomainError("need 0 < sigma_low <= sigma_high")
         return merged
+
+    def invalid(self, planes):
+        doubters, low = planes["n_doubters"], planes["sigma_low"]
+        return ~((0 <= doubters) & (doubters < planes["n_experts"])
+                 & (0 < low) & (low <= planes["sigma_high"]))
 
     def columns(self, config):
         return _floats("pooled_mean", "pooled_confidence", "main_mean",
@@ -1205,24 +1159,25 @@ class ElicitationPoolPipeline(Pipeline):
 
 
 @register_batch_kernel("elicitation_pool")
-def _elicitation_pool_batch(config, params, seeds):
+def _elicitation_pool_batch(config, planes, seeds):
     n_experts = config["n_experts"]
-    modes = np.empty((len(params), n_experts))
-    sigmas = np.empty((len(params), n_experts))
-    doubters = np.empty((len(params), n_experts), dtype=bool)
-    for position, (merged, seed) in enumerate(zip(params, seeds)):
+    modes = np.empty((len(seeds), n_experts))
+    sigmas = np.empty((len(seeds), n_experts))
+    doubters = np.empty((len(seeds), n_experts), dtype=bool)
+    for position, (merged, seed) in enumerate(zip(_rows(planes, len(seeds)),
+                                                  seeds)):
         modes[position], sigmas[position], doubters[position] = (
             ElicitationPoolPipeline._panel_arrays(merged, ensure_rng(seed))
         )
     if config["weighting"] == "equal":
-        weights = np.full((len(params), n_experts), 1.0 / n_experts)
+        weights = np.full((len(seeds), n_experts), 1.0 / n_experts)
     else:
         from ..elicitation import information_weights
 
         mu = _kernels.lognormal_mu_from_mode(modes, sigmas)
         low, high = _kernels.lognormal_interval(mu, sigmas, 0.9)
         weights = information_weights(np.log10(high / low))
-    bounds = _plane(params, "bound")
+    bounds = planes["bound"]
     pooled = _kernels.linear_pool_sweep(modes, sigmas, weights, bounds)
     main = _kernels.linear_pool_sweep(
         modes, sigmas, np.where(doubters, 0.0, weights), bounds
@@ -1309,15 +1264,16 @@ class ExpertCalibrationPipeline(Pipeline):
 
 
 @register_batch_kernel("expert_calibration")
-def _expert_calibration_batch(config, params, seeds):
-    truths = np.empty((len(params), config["n_questions"]))
-    for position, (merged, seed) in enumerate(zip(params, seeds)):
+def _expert_calibration_batch(config, planes, seeds):
+    truths = np.empty((len(seeds), config["n_questions"]))
+    for position, (merged, seed) in enumerate(zip(_rows(planes, len(seeds)),
+                                                  seeds)):
         truths[position] = ExpertCalibrationPipeline._truths(
             merged, ensure_rng(seed)
         )
-    sigmas = _plane(params, "sigma")
-    bounds = _plane(params, "claim_bound")
-    mu = _kernels.lognormal_mu_from_mode(_plane(params, "mode"), sigmas)
+    sigmas = planes["sigma"]
+    bounds = planes["claim_bound"]
+    mu = _kernels.lognormal_mu_from_mode(planes["mode"], sigmas)
     stated = _kernels.lognormal_confidence(mu, sigmas, bounds)
     low, high = _kernels.lognormal_interval(mu, sigmas, 0.9)
     return {
@@ -1382,9 +1338,9 @@ class AlarpDecisionPipeline(Pipeline):
 
 
 @register_batch_kernel("alarp_decision")
-def _alarp_decision_batch(config, params, seeds):
+def _alarp_decision_batch(config, planes, seeds):
     return _kernels.alarp_sweep(
-        *(_plane(params, name) for name in (
+        *(planes[name] for name in (
             "mode", "sigma", "intolerable_above", "acceptable_below",
             "required_confidence",
         ))
@@ -1442,15 +1398,16 @@ class Iec61508SilPipeline(Pipeline):
 
 
 @register_batch_kernel("iec61508_sil")
-def _iec61508_sil_batch(config, params, seeds):
+def _iec61508_sil_batch(config, planes, seeds):
     from ..standards.iec61508 import clause
 
-    sigmas = _plane(params, "sigma")
+    sigmas = planes["sigma"]
     required = np.array(
-        [clause(p["clause"]).required_confidence for p in params],
+        [clause(name).required_confidence
+         for name in planes["clause"].tolist()],
         dtype=float,
     )
-    mu = _kernels.lognormal_mu_from_mode(_plane(params, "mode"), sigmas)
+    mu = _kernels.lognormal_mu_from_mode(planes["mode"], sigmas)
     confidences = _kernels.band_confidence_sweep(
         mu, sigmas, _band_scheme(config["scheme"])
     )
@@ -1521,24 +1478,26 @@ class Do178bMapPipeline(Pipeline):
 
 
 @register_batch_kernel("do178b_map")
-def _do178b_map_batch(config, params, seeds):
+def _do178b_map_batch(config, planes, seeds):
     from ..standards import do178b
 
-    dals = [do178b.level(p["dal"]) for p in params]
+    names = planes["dal"].tolist()
+    modes, sigmas = planes["mode"].tolist(), planes["sigma"].tolist()
+    dals = [do178b.level(name) for name in names]
     rates = np.array([np.nan if dal.max_rate_per_hour is None
                       else dal.max_rate_per_hour for dal in dals])
-    judged = [i for i, p in enumerate(params)
-              if p["mode"] is not None and not np.isnan(rates[i])]
-    confidence = np.full(len(params), np.nan)
+    judged = [i for i, mode in enumerate(modes)
+              if mode is not None and not np.isnan(rates[i])]
+    confidence = np.full(len(names), np.nan)
     if judged:
-        sigmas = np.array([params[i]["sigma"] for i in judged], dtype=float)
+        judged_sigmas = np.array([sigmas[i] for i in judged], dtype=float)
         mu = _kernels.lognormal_mu_from_mode(
-            [params[i]["mode"] for i in judged], sigmas
+            [modes[i] for i in judged], judged_sigmas
         )
         confidence[judged] = _kernels.lognormal_confidence(
-            mu, sigmas, rates[judged]
+            mu, judged_sigmas, rates[judged]
         )
-    sils = [do178b.comparable_sil(p["dal"]) for p in params]
+    sils = [do178b.comparable_sil(name) for name in names]
     return {
         "failure_condition": np.array([dal.failure_condition
                                        for dal in dals]),
@@ -1606,10 +1565,9 @@ class ConservatismAuditPipeline(Pipeline):
 
 
 @register_batch_kernel("conservatism_audit")
-def _conservatism_audit_batch(config, params, seeds):
+def _conservatism_audit_batch(config, planes, seeds):
     return _kernels.conservatism_sweep(
-        *(_plane(params, name)
-          for name in ("mode", "sigma", "belief_bound", "beta"))
+        *(planes[name] for name in ("mode", "sigma", "belief_bound", "beta"))
     )
 
 

@@ -15,11 +15,14 @@ The engine's execution stack is staged — **plan, compile, execute**:
      kernels and the scalar path all read it, so every row of a run
      sees one version of each file, in this process and in shard
      workers (the snapshot travels with the pickled plan);
-   * **validation** — grid scenario 0 and every scenario that differs
-     from it on one axis (real scenarios only), or each explicit
-     scenario, is resolved, so unknown names, bad values and missing
-     files fail here; the per-chunk resolve in :meth:`chunk_items`
-     still catches checks that join two axes;
+   * **resolution** — every grid axis value is resolved once, in the
+     scenario that differs from scenario 0 on that axis alone (a real
+     scenario), and each combination of the configuration axes once;
+     explicit scenarios are each resolved.  Unknown names, bad values
+     and missing files fail here, and the resolved axis values become
+     the kernels' parameter planes, so no grid row is resolved again.
+     What ``resolve`` checks across two axes is re-checked per chunk
+     (:meth:`Pipeline.invalid <repro.engine.pipelines.Pipeline.invalid>`);
    * the **configuration groups** and their declared value-column
      schemas (:attr:`column_sets`), which the sinks and the tile store
      read instead of guessing columns from rows.
@@ -34,13 +37,14 @@ The engine's execution stack is staged — **plan, compile, execute**:
    delta's pending tiles — chunk by chunk.
 
 The plan is deliberately **lazy**: nothing scales with the scenario
-count except the arithmetic.  ``scenario(i)`` decodes the ``i``-th grid
-point from mixed-radix arithmetic over the axes, and per-scenario seeds
-come from :func:`repro.numerics.spawn_seeds_range`, which addresses the
-``i``-th spawned child of the master seed directly.  Both are pure
-functions of the spec, so every chunk layout, shard assignment and
-backend reconstructs *identical* scenarios — the foundation of the
-engine's bit-for-bit reproducibility guarantee for stochastic sweeps.
+count except the arithmetic.  :meth:`ExecutionPlan.batch` decodes a
+chunk's grid points as one NumPy gather of mixed-radix digits over the
+axes into its parameter planes, and per-scenario seeds come from
+:func:`repro.numerics.spawn_seeds_range`, which addresses the ``i``-th
+spawned child of the master seed directly.  Both are pure functions of
+the spec, so every chunk layout, shard assignment and backend
+reconstructs *identical* scenarios — the foundation of the engine's
+bit-for-bit reproducibility guarantee for stochastic sweeps.
 """
 
 from __future__ import annotations
@@ -51,10 +55,13 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..errors import DomainError
 from ..numerics import spawn_seeds_range
 from ..telemetry import tracer
 from .pipelines import Column, Pipeline, get_pipeline
+from .results import Batch, Part
 from .spec import ScenarioSpec, SweepSpec
 
 __all__ = ["Chunk", "ExecutionPlan", "PlanWindow", "lower",
@@ -72,6 +79,33 @@ DEFAULT_CHUNK_SIZE = 8192
 _FINGERPRINT_DTYPE = "float64"
 
 SweepLike = Union[SweepSpec, Sequence[ScenarioSpec]]
+
+
+def _compact(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      default=str)
+
+
+def _digest(payload: Dict[str, Any], **encoded: str) -> str:
+    """sha256 of ``payload`` as sorted compact JSON; ``encoded`` holds
+    top-level values already in that JSON (the same bytes, spliced)."""
+    parts = {**{key: _compact(value) for key, value in payload.items()},
+             **encoded}
+    blob = "{%s}" % ",".join(f"{_compact(key)}:{parts[key]}"
+                             for key in sorted(parts))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _as_plane(values: Sequence[Any]) -> np.ndarray:
+    """Values as an array whose ``tolist()`` gives them back: float64,
+    int64 or bool when all have that type, else object."""
+    kinds = {type(value) for value in values}
+    if len(kinds) == 1 and kinds <= {float, int, bool}:
+        try:
+            return np.array(values, dtype=kinds.pop())
+        except OverflowError:  # ints beyond int64
+            pass
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 @dataclass(frozen=True)
@@ -96,10 +130,12 @@ class ExecutionPlan:
     * :attr:`n_scenarios`, :attr:`n_chunks`, :meth:`chunks` — the chunk
       layout; :meth:`window` — scenario ranges to run (a
       :class:`PlanWindow`);
-    * :meth:`scenario`, :meth:`chunk_scenarios` — lazy scenario
-      reconstruction (identical to ``SweepSpec.expand()`` output);
-    * :meth:`chunk_items` — the resolved ``(params, seed)`` run items a
-      chunk feeds to ``Pipeline.run_batch``;
+    * :meth:`batch` — a chunk's parameter planes, seeds and row layout
+      (a :class:`~repro.engine.results.Batch`);
+    * :meth:`groups` — a batch's rows by configuration group, with
+      their resolved parameter planes: what ``Pipeline.run_batch`` runs;
+    * :meth:`scenario` — one scenario (identical to
+      ``SweepSpec.expand()`` output);
     * :meth:`cache_key` — the result-cache key of one scenario, with the
       hash of every referenced file (loaded once, at lowering) folded in;
     * :attr:`param_names`, :attr:`column_sets`, :attr:`columns` — the
@@ -127,6 +163,10 @@ class ExecutionPlan:
         self._chunk_size = int(chunk_size)
         self._explicit = explicit
         self._fingerprint: Optional[str] = None
+        self._param_names = tuple(dict.fromkeys(
+            [*base, *(name for name, _values in axes)] if explicit is None
+            else (name for scenario in explicit for name in scenario.params)
+        )) if self._n else ()
         # Mixed-radix place values: axis j's digit advances every
         # prod(sizes[j+1:]) scenarios (row-major, matching
         # itertools.product in SweepSpec.expand()).
@@ -137,13 +177,29 @@ class ExecutionPlan:
             place *= len(values)
         self._strides = tuple(reversed(strides))
         self._snapshot: Dict[Tuple[str, Any], Tuple[Any, str]] = {}
-        self._column_sets: Tuple[Tuple[Column, ...], ...] = ()
+        # Configuration groups (config, declared columns, resolved
+        # parameters of their first scenario) and row layouts (group,
+        # bound names, seeded), the layout's index per configuration-axis
+        # value combination (grid) or per scenario (explicit).
+        self._groups: List[Tuple[Dict[str, Any], Tuple[Column, ...],
+                                 Dict[str, Any]]] = []
+        self._layouts: List[Tuple[int, Tuple[str, ...], bool]] = []
+        self._layout_of = np.zeros((), dtype=np.int64)
+        self._config_axes = tuple(name for name, _values in axes
+                                  if name in self._pipeline.config)
+        # Each parameter's values along its axis (or over the explicit
+        # scenarios), as bound and as resolved.
+        self._bound: Dict[str, np.ndarray] = {}
+        self._resolved: Dict[str, np.ndarray] = {}
+        # (axis, offset, length) -> the window's fingerprint JSON.
+        self._windows: Dict[Tuple[str, int, int], str] = {}
         if self._n:
             self._settle()
 
     def _settle(self) -> None:
-        """Load the snapshot, validate the scenarios and collect the
-        configuration groups' schemas (in first-appearance order)."""
+        """Load the snapshot, resolve every axis value (or explicit
+        scenario) once, and collect the configuration groups and row
+        layouts in first-appearance order."""
         pipeline = self._pipeline
         for name in pipeline.content_params:
             default = pipeline.defaults.get(name)
@@ -156,36 +212,58 @@ class ExecutionPlan:
             for value in values:
                 if value is not None and (name, value) not in self._snapshot:
                     self._snapshot[(name, value)] = pipeline.load(name, value)
-        snapshot = self._snapshot
-        schemas: Dict[tuple, Tuple[Column, ...]] = {}
+        groups: Dict[tuple, int] = {}
+        layouts: Dict[tuple, int] = {}
 
-        def settle(params: Dict[str, Any]) -> None:
-            resolved = pipeline.resolve(params, snapshot)
+        def settle(params, names, seeded) -> Tuple[int, Dict[str, Any]]:
+            resolved = pipeline.resolve(params, self._snapshot)
             key = tuple(resolved[name] for name in pipeline.config)
-            if key not in schemas:
-                schemas[key] = tuple(
-                    pipeline.columns(dict(zip(pipeline.config, key)))
+            if key not in groups:
+                groups[key] = len(self._groups)
+                config = dict(zip(pipeline.config, key))
+                self._groups.append(
+                    (config, tuple(pipeline.columns(config)), resolved)
                 )
+            return layouts.setdefault((groups[key], names, seeded),
+                                      len(layouts)), resolved
 
         if self._explicit is not None:
-            for scenario in self._explicit:
-                settle(scenario.params)
+            ids, resolved = zip(*(
+                settle(s.params, tuple(s.params), s.seed is not None)
+                for s in self._explicit
+            ))
+            self._layout_of = np.array(ids, dtype=np.int64)
+            for name in dict.fromkeys(k for r in resolved for k in r):
+                self._bound[name] = _as_plane(
+                    [s.params.get(name) for s in self._explicit]
+                )
+                self._resolved[name] = _as_plane(
+                    [r.get(name) for r in resolved]
+                )
         else:
             first = dict(self._base)
             first.update((name, values[0]) for name, values in self._axes)
-            # Every configuration the grid takes, in the order its rows
-            # first reach it; then each one-axis step off scenario 0.
-            config_axes = [(name, values) for name, values in self._axes
-                           if name in pipeline.config]
-            for combo in itertools.product(
-                *(values for _name, values in config_axes)
-            ):
-                settle({**first, **{name: value for (name, _values), value
-                                    in zip(config_axes, combo)}})
+            axes = dict(self._axes)
+            # Every configuration the grid takes (scenario 0's first) ...
+            self._layout_of = np.empty(
+                [len(axes[name]) for name in self._config_axes], np.int64
+            )
+            for digits in np.ndindex(*self._layout_of.shape):
+                self._layout_of[digits] = settle({**first, **{
+                    name: axes[name][digit]
+                    for name, digit in zip(self._config_axes, digits)
+                }}, self.param_names, self._master_seed is not None)[0]
+            # ... then each axis value in the one-axis step off it.
             for name, values in self._axes:
-                for value in values[1:]:
-                    pipeline.resolve({**first, name: value}, snapshot)
-        self._column_sets = tuple(dict.fromkeys(schemas.values()))
+                self._bound[name] = _as_plane(values)
+                self._resolved[name] = _as_plane(
+                    [self._groups[0][2][name]] + [
+                        pipeline.resolve({**first, name: value},
+                                         self._snapshot)[name]
+                        for value in values[1:]
+                    ]
+                )
+        self._layouts = list(layouts)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -233,26 +311,19 @@ class ExecutionPlan:
     @property
     def param_names(self) -> Tuple[str, ...]:
         """The rows' parameter names in first-appearance order."""
-        if not self._n:
-            return ()
-        if self._explicit is None:
-            return tuple(dict.fromkeys([*self._base, *self.axes]))
-        names: Dict[str, None] = {}
-        for scenario in self._explicit:
-            names.update(dict.fromkeys(scenario.params))
-        return tuple(names)
+        return self._param_names
 
     @property
     def column_sets(self) -> Tuple[Tuple[Column, ...], ...]:
         """The distinct value-column schemas the plan's configuration
         groups declare, in the order rows first reach them."""
-        return self._column_sets
+        return tuple(dict.fromkeys(schema for _c, schema, _r in self._groups))
 
     @property
     def columns(self) -> Tuple[Column, ...]:
         """Every group's value columns, first appearance first."""
         union: Dict[str, Column] = {}
-        for schema in self._column_sets:
+        for schema in self.column_sets:
             for column in schema:
                 union.setdefault(column.name, column)
         return tuple(union.values())
@@ -300,42 +371,86 @@ class ExecutionPlan:
             )
         if self._explicit is not None:
             return self._explicit[index]
-        params = dict(self._base)
-        for (name, values), stride in zip(self._axes, self._strides):
-            params[name] = values[(index // stride) % len(values)]
-        seed = spawn_seeds_range(self._master_seed, index, index + 1)[0]
-        return ScenarioSpec(self._pipeline_name, params, seed=seed)
+        return self.batch(Chunk(index // self._chunk_size, index,
+                                index + 1)).specs()[0]
 
-    def chunk_scenarios(self, chunk: Chunk) -> List[ScenarioSpec]:
-        """All scenarios of ``chunk``, reconstructed lazily."""
+    def _digits(self, index: np.ndarray) -> Dict[str, np.ndarray]:
+        """Where scenarios ``index`` sit in each parameter's planes."""
         if self._explicit is not None:
-            return list(self._explicit[chunk.start:chunk.stop])
-        seeds = spawn_seeds_range(self._master_seed, chunk.start, chunk.stop)
-        scenarios = []
-        for offset, index in enumerate(range(chunk.start, chunk.stop)):
-            params = dict(self._base)
-            for (name, values), stride in zip(self._axes, self._strides):
-                params[name] = values[(index // stride) % len(values)]
-            scenarios.append(
-                ScenarioSpec(self._pipeline_name, params,
-                             seed=seeds[offset])
+            return dict.fromkeys(self._resolved, index)
+        return {name: index // stride % len(values)
+                for (name, values), stride in zip(self._axes, self._strides)}
+
+    def batch(self, chunk: Chunk) -> Batch:
+        """``chunk``'s scenarios as a :class:`Batch` without values: the
+        parameter planes gathered from the axes, seeds and layouts."""
+        index = np.arange(chunk.start, chunk.stop)
+        digits = self._digits(index)
+        params = {
+            name: (self._bound[name][digits[name]] if name in digits
+                   else _as_plane([self._base[name]]).repeat(len(index)))
+            for name in self.param_names
+        }
+        if self._explicit is not None:
+            seeds = _as_plane(
+                [s.seed for s in self._explicit[chunk.start:chunk.stop]]
             )
-        return scenarios
+            layouts = self._layout_of[index]
+        else:
+            seeds = _as_plane(spawn_seeds_range(self._master_seed,
+                                                chunk.start, chunk.stop))
+            layouts = np.broadcast_to(self._layout_of[tuple(
+                digits[name] for name in self._config_axes
+            )], index.shape)
+        ids = np.unique(layouts).tolist()
+        parts = []
+        for layout in ids:
+            group, names, seeded = self._layouts[layout]
+            parts.append(Part(
+                slice(None) if len(ids) == 1
+                else np.flatnonzero(layouts == layout),
+                group, names, seeded, self._groups[group][1],
+            ))
+        return Batch(self._pipeline_name, chunk.start, chunk.stop, params,
+                     seeds, parts)
 
-    def chunk_items(
-        self, scenarios: Sequence[ScenarioSpec]
-    ) -> List[Tuple[Dict[str, Any], Optional[int]]]:
-        """Resolved ``(params, seed)`` run items for a chunk's scenarios.
-
-        The one per-row resolve: against the snapshot, so content
-        parameters carry the loaded content, and still validating what
-        lowering could not check one axis at a time.
-        """
-        pipeline, snapshot = self._pipeline, self._snapshot
-        return [
-            (pipeline.resolve(scenario.params, snapshot), scenario.seed)
-            for scenario in scenarios
-        ]
+    def groups(
+        self, batch: Batch, rows: Optional[np.ndarray] = None
+    ) -> List[Tuple[Dict[str, Any], Tuple[Column, ...], np.ndarray,
+                    Dict[str, np.ndarray], List[Optional[int]]]]:
+        """``batch``'s rows (all, or the positions ``rows``) by
+        configuration group: ``(config, columns, positions, resolved
+        parameter planes, seeds)``.  The planes gather the values
+        resolved at lowering; when rows fail a check joining parameters
+        (:meth:`Pipeline.invalid`), the first of them is resolved again
+        to raise the pipeline's own error."""
+        positions: Dict[int, List[int]] = {}
+        for part in batch.parts:
+            positions.setdefault(part.group, []).extend(batch.positions(part))
+        out, first_bad = [], len(batch)
+        for group, found in positions.items():
+            found = np.sort(found)
+            if rows is not None:
+                found = found[np.isin(found, rows)]
+            if not len(found):
+                continue
+            config, columns, resolved = self._groups[group]
+            digits = self._digits(batch.start + found)
+            planes = {
+                name: (self._resolved[name][digits[name]] if name in digits
+                       else _as_plane([value]).repeat(len(found)))
+                for name, value in resolved.items()
+            }
+            bad = self._pipeline.invalid(planes)
+            if bad is not None and bad.any():
+                first_bad = min(first_bad, int(found[bad.argmax()]))
+            out.append((config, columns, found, planes,
+                        batch.seeds[found].tolist()))
+        if first_bad < len(batch):
+            self._pipeline.resolve(
+                self.scenario(batch.start + first_bad).params, self._snapshot
+            )
+        return out
 
     # ------------------------------------------------------------------ #
     # Cache keys
@@ -464,9 +579,7 @@ class ExecutionPlan:
                 payload["scenario0"] = anchors[0]
             else:
                 payload["content_anchors"] = anchors
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          default=str)
-        self._fingerprint = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        self._fingerprint = _digest(payload)
         return self._fingerprint
 
     def region_fingerprint(
@@ -497,6 +610,7 @@ class ExecutionPlan:
             "base": self._base,
             "dtype": _FINGERPRINT_DTYPE,
         }
+        encoded: Dict[str, str] = {}
         if self._explicit is not None or not self._axes:
             if len(blocks) != 1:
                 raise DomainError(
@@ -524,7 +638,7 @@ class ExecutionPlan:
                     f"expected {len(self._axes)} (offset, length) blocks "
                     f"(one per axis), got {len(blocks)}"
                 )
-            axes_payload = []
+            windows = []
             for (name, values), (offset, length) in zip(
                 self._axes, blocks
             ):
@@ -534,10 +648,14 @@ class ExecutionPlan:
                         f"block ({offset}, {length}) outside axis "
                         f"{name!r} of length {len(values)}"
                     )
-                axes_payload.append(
-                    [name, list(values[offset:offset + length])]
-                )
-            payload["axes"] = axes_payload
+                # Encoded once per window: a layout's tiles share them.
+                key = (name, offset, length)
+                if key not in self._windows:
+                    self._windows[key] = _compact(
+                        [name, list(values[offset:offset + length])]
+                    )
+                windows.append(self._windows[key])
+            encoded["axes"] = "[%s]" % ",".join(windows)
             if self._master_seed is not None:
                 payload["seed_window"] = {
                     "master_seed": self._master_seed,
@@ -549,9 +667,7 @@ class ExecutionPlan:
             payload["anchor"] = anchors[0]
         else:
             payload["anchors"] = anchors
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                          default=str)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return _digest(payload, **encoded)
 
     def __getstate__(self) -> Dict[str, Any]:
         # The resolved Pipeline holds registry callables that may not
@@ -692,48 +808,35 @@ def lower(
         raise DomainError("chunk_size must be positive")
     with tracer.span("plan.lower") as span:
         if isinstance(sweep, SweepSpec):
-            axes = tuple(
-                (name, tuple(sweep.grid[name])) for name in sweep.axes
-            )
             plan = ExecutionPlan(
                 sweep.pipeline,
                 base=dict(sweep.base),
-                axes=axes,
+                axes=tuple((name, tuple(sweep.grid[name]))
+                           for name in sweep.axes),
                 master_seed=sweep.seed,
                 n_scenarios=sweep.n_scenarios(),
                 chunk_size=chunk_size,
             )
-            span.set(pipeline=plan.pipeline_name,
-                     n_scenarios=plan.n_scenarios,
-                     n_chunks=plan.n_chunks,
-                     chunk_size=plan.chunk_size)
-            return plan
-        scenarios = tuple(sweep)
-        if not all(isinstance(s, ScenarioSpec) for s in scenarios):
-            raise DomainError(
-                "sweep must be a SweepSpec or a sequence of ScenarioSpec"
+        else:
+            scenarios = tuple(sweep)
+            if not all(isinstance(s, ScenarioSpec) for s in scenarios):
+                raise DomainError(
+                    "sweep must be a SweepSpec or a sequence of ScenarioSpec"
+                )
+            pipelines = {scenario.pipeline for scenario in scenarios}
+            if len(pipelines) > 1:
+                raise DomainError(f"a sweep must use a single pipeline, "
+                                  f"got {sorted(pipelines)}")
+            if not scenarios:
+                raise DomainError(
+                    "cannot lower an empty scenario list; pass a SweepSpec "
+                    "for empty sweeps"
+                )
+            plan = ExecutionPlan(
+                next(iter(pipelines)), base={}, axes=(), master_seed=None,
+                n_scenarios=len(scenarios), chunk_size=chunk_size,
+                explicit=scenarios,
             )
-        pipelines = {scenario.pipeline for scenario in scenarios}
-        if len(pipelines) > 1:
-            raise DomainError(
-                f"a sweep must use a single pipeline, got {sorted(pipelines)}"
-            )
-        if not scenarios:
-            raise DomainError(
-                "cannot lower an empty scenario list; pass a SweepSpec for "
-                "empty sweeps"
-            )
-        plan = ExecutionPlan(
-            next(iter(pipelines)),
-            base={},
-            axes=(),
-            master_seed=None,
-            n_scenarios=len(scenarios),
-            chunk_size=chunk_size,
-            explicit=scenarios,
-        )
-        span.set(pipeline=plan.pipeline_name,
-                 n_scenarios=plan.n_scenarios,
-                 n_chunks=plan.n_chunks,
-                 chunk_size=plan.chunk_size)
+        span.set(pipeline=plan.pipeline_name, n_scenarios=plan.n_scenarios,
+                 n_chunks=plan.n_chunks, chunk_size=plan.chunk_size)
         return plan

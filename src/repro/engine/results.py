@@ -1,10 +1,13 @@
 """Result containers for scenario sweeps.
 
-A sweep produces one :class:`ScenarioResult` per scenario — the spec that
-ran plus the flat ``{column: value}`` dict its pipeline returned — and the
-executor wraps them in a :class:`ResultSet`, which offers tabular access:
-column extraction as NumPy arrays, rendering through
-:func:`repro.viz.format_records`, and CSV export.
+The executor hands sinks one :class:`Batch` per chunk: parameter
+planes, seeds and declared value columns.  Rows exist only where a user
+asks for them: a batch gives one :class:`ScenarioResult` per scenario —
+the spec that ran plus its ``{column: value}`` dict — through
+:func:`rows_of`, and :func:`repro.engine.run_sweep` collects them in a
+:class:`ResultSet`, which offers tabular access: column extraction as
+NumPy arrays, rendering through :func:`repro.viz.format_records`, and
+CSV export.
 """
 
 from __future__ import annotations
@@ -12,14 +15,114 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import (Any, Dict, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
 from ..errors import DomainError
 from .spec import ScenarioSpec
 
-__all__ = ["ScenarioResult", "ResultSet"]
+__all__ = ["Batch", "Part", "ScenarioResult", "ResultSet", "rows_of"]
+
+
+def csv_text(rows) -> str:
+    """``rows`` (sequences of values) as CSV text, as the ``csv`` module
+    writes them."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue()
+
+
+def rows_of(columns: Mapping[str, Sequence[Any]],
+            n: int) -> List[Dict[str, Any]]:
+    """``n`` row dicts from equal-length columns of Python values, keys
+    in column order: the one column-to-row adapter."""
+    if not columns:
+        return [{} for _ in range(n)]
+    names = tuple(columns)
+    return [dict(zip(names, values)) for values in zip(*columns.values())]
+
+
+class Part(NamedTuple):
+    """Rows of a :class:`Batch` sharing one layout: ``rows`` (a slice
+    or positions), their configuration ``group``, the ``params`` they
+    bind (in their own order), whether they are ``seeded``, and the
+    group's declared value ``columns``."""
+
+    rows: Union[slice, np.ndarray]
+    group: int
+    params: Tuple[str, ...]
+    seeded: bool
+    columns: Tuple[Any, ...]
+
+
+class Batch:
+    """One chunk of a plan in columns: what the executor hands sinks.
+
+    ``params`` maps each parameter to its plane of the scenarios' own
+    values (``tolist()`` gives them back exactly), ``seeds`` is the
+    seed plane, ``parts`` the row layouts, ``values`` every value
+    column of the plan in its declared dtype (nodata where a row has
+    none) and ``from_cache`` flags the rows a result cache served.  The
+    rows are the plan's scenarios ``[start, stop)``; iterating a batch
+    gives them as :class:`ScenarioResult` s.
+    """
+
+    def __init__(self, pipeline: str, start: int, stop: int,
+                 params: Dict[str, np.ndarray], seeds: np.ndarray,
+                 parts: List[Part]):
+        self.pipeline, self.start, self.stop = pipeline, start, stop
+        self.params, self.seeds, self.parts = params, seeds, parts
+        self.values: Dict[str, np.ndarray] = {}
+        self.from_cache = np.zeros(stop - start, dtype=bool)
+        self._specs: Optional[List[ScenarioSpec]] = None
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __iter__(self) -> Iterator["ScenarioResult"]:
+        return iter(self.results())
+
+    @property
+    def n_hits(self) -> int:
+        return int(self.from_cache.sum())
+
+    def positions(self, part: Part) -> List[int]:
+        return np.arange(len(self))[part.rows].tolist()
+
+    def _rows(self, columns_of) -> List[Dict[str, Any]]:
+        """Rows, in batch order, of each part's ``columns_of(part)``."""
+        rows: List[Dict[str, Any]] = [{}] * len(self)
+        for part in self.parts:
+            positions = self.positions(part)
+            for position, row in zip(positions, rows_of(columns_of(part),
+                                                        len(positions))):
+                rows[position] = row
+        return rows
+
+    def specs(self) -> List[ScenarioSpec]:
+        """The rows' scenarios (built once: the cache split needs them
+        before the rows are)."""
+        if self._specs is None:
+            params = self._rows(lambda part: {
+                name: self.params[name][part.rows].tolist()
+                for name in part.params
+            })
+            self._specs = [ScenarioSpec(self.pipeline, bound, seed=seed)
+                           for bound, seed in zip(params,
+                                                  self.seeds.tolist())]
+        return self._specs
+
+    def results(self) -> List["ScenarioResult"]:
+        """The rows as :class:`ScenarioResult` s."""
+        values = self._rows(lambda part: {
+            column.name: column.to_rows(self.values[column.name][part.rows])
+            for column in part.columns
+        })
+        return [ScenarioResult(spec, row, from_cache=hit)
+                for spec, row, hit in zip(self.specs(), values,
+                                          self.from_cache.tolist())]
 
 
 @dataclass(frozen=True)
@@ -57,16 +160,14 @@ class ResultSet:
 
     def columns(self) -> List[str]:
         """Union of parameter and value names, parameters first."""
-        param_names: List[str] = []
-        value_names: List[str] = []
-        for result in self.results:
-            for name in result.spec.params:
-                if name not in param_names:
-                    param_names.append(name)
-            for name in result.values:
-                if name not in value_names:
-                    value_names.append(name)
-        return param_names + [n for n in value_names if n not in param_names]
+        params = dict.fromkeys(
+            name for result in self.results for name in result.spec.params
+        )
+        values = dict.fromkeys(
+            name for result in self.results for name in result.values
+            if name not in params
+        )
+        return [*params, *values]
 
     def records(self) -> List[Dict[str, Any]]:
         return [result.record() for result in self.results]
@@ -81,8 +182,11 @@ class ResultSet:
                 f"unknown column {column!r}; available: "
                 f"{', '.join(self.columns())}"
             )
+        # A missing or None cell reads as NaN, which best() skips.
         return np.asarray(
-            [float(row.get(column, np.nan)) for row in rows], dtype=float
+            [np.nan if row.get(column) is None else float(row[column])
+             for row in rows],
+            dtype=float,
         )
 
     def best(self, column: str, maximise: bool = True) -> ScenarioResult:
@@ -112,12 +216,8 @@ class ResultSet:
     def to_csv(self, path_or_buffer=None) -> Optional[str]:
         """Write CSV; returns the text when no path/buffer is given."""
         columns = self.columns()
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore")
-        writer.writeheader()
-        for record in self.records():
-            writer.writerow({k: record.get(k, "") for k in columns})
-        text = buffer.getvalue()
+        text = csv_text([columns, *([record.get(name, "") for name in columns]
+                                    for record in self.records())])
         if path_or_buffer is None:
             return text
         if hasattr(path_or_buffer, "write"):

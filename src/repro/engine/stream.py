@@ -1,16 +1,20 @@
 """Streaming sweep execution: plans run chunk-by-chunk in constant memory.
 
 :func:`run_sweep_streaming` is the engine's one executor loop:
-collected (:func:`repro.engine.run_sweep`), streamed, stored, sharded
-and delta runs all pass through it.  It lowers the sweep to an
+collected, streamed, stored, sharded and delta runs all pass through
+it, and :func:`run_sweep` is that loop with a
+:class:`~repro.engine.sinks.MemorySink`, wrapped in a
+:class:`~repro.engine.results.ResultSet`.  It lowers the sweep to an
 :class:`~repro.engine.plan.ExecutionPlan` and walks a
 :class:`~repro.engine.plan.PlanWindow` of it **chunk by chunk**: each
-chunk's scenarios are reconstructed lazily (mixed-radix grid decode +
-directly-addressed child seeds), satisfied from the result cache where
-possible, executed, pushed through the registered
-:mod:`~repro.engine.sinks`, and dropped.  Peak memory is set by the
-chunk size — not the scenario count — so million-scenario sweeps run
-in the same footprint as thousand-scenario ones.
+chunk becomes a :class:`~repro.engine.results.Batch` — parameter planes
+gathered from the axes plus directly-addressed child seeds — whose
+rows are satisfied from the result cache where possible, run one
+configuration group at a time into the declared value columns, pushed
+through the registered :mod:`~repro.engine.sinks`, and dropped.  Peak
+memory is set by the chunk size — not the scenario count — so
+million-scenario sweeps run in the same footprint as thousand-scenario
+ones.
 
 Backends say how a process runs its chunks: ``serial`` loops the scalar
 pipeline (the reference), ``vectorized`` runs each chunk through the
@@ -29,16 +33,19 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..compilecache import compile_seconds
 from ..errors import DomainError
 from ..telemetry import metrics, tracer
 from .cache import ResultCache
 from .plan import ExecutionPlan, PlanWindow, lower
-from .results import ScenarioResult
-from .sinks import JsonlSink, ResultSink
-from .spec import ScenarioSpec
+from .results import Batch, ResultSet, rows_of
+from .sinks import MemorySink, ResultSink
+from .spec import SweepSpec
 
-__all__ = ["run_sweep_streaming", "stream_results", "BACKENDS"]
+__all__ = ["run_sweep", "run_sweep_streaming", "stream_results",
+           "BACKENDS"]
 
 # Run-level counters; see README's telemetry reference table.
 _M_ROWS = metrics.counter("engine.rows")
@@ -85,48 +92,41 @@ def _resolve_backend(
     return window, backend, backend
 
 
-class _ChunkWork:
-    """One chunk's cache split: hits ready, misses to execute."""
-
-    __slots__ = ("scenarios", "keys", "hits", "pending", "items")
-
-    def __init__(self, plan: ExecutionPlan, scenarios: List[ScenarioSpec],
-                 cache: Optional[ResultCache]):
-        self.scenarios = scenarios
-        self.keys: Dict[int, str] = {}
-        self.hits: Dict[int, Dict[str, Any]] = {}
-        self.pending: List[int] = []
-        if cache is None:
-            self.pending = list(range(len(scenarios)))
-        else:
-            for position, scenario in enumerate(scenarios):
-                if plan.cacheable(scenario):
-                    key = plan.cache_key(scenario)
-                    self.keys[position] = key
-                    values = cache.get(key)
-                    if values is not None:
-                        self.hits[position] = values
-                        continue
-                self.pending.append(position)
-        self.items = plan.chunk_items(
-            [scenarios[position] for position in self.pending]
-        )
-
-    def merge(self, values: Sequence[Dict[str, Any]],
-              cache: Optional[ResultCache]) -> List[ScenarioResult]:
-        """Interleave fresh values with cache hits, memoising the fresh."""
-        results: List[Optional[ScenarioResult]] = [None] * len(self.scenarios)
-        for position, hit in self.hits.items():
-            results[position] = ScenarioResult(
-                self.scenarios[position], hit, from_cache=True
-            )
-        for position, value in zip(self.pending, values):
-            results[position] = ScenarioResult(
-                self.scenarios[position], value
-            )
-            if cache is not None and position in self.keys:
-                cache.put(self.keys[position], value)
-        return results  # type: ignore[return-value]
+def _execute(plan: ExecutionPlan, batch: Batch, scalar: bool,
+             cache: Optional[ResultCache]) -> None:
+    """Fill ``batch``'s value columns: cache hits where ``cache`` has
+    them, the other rows one configuration group at a time."""
+    batch.values = {
+        column.name: np.full(len(batch), 0 if column.nodata is None
+                             else column.nodata, dtype=column.dtype)
+        for column in plan.columns
+    }
+    keys: Dict[int, str] = {}
+    if cache is not None:
+        keys = {position: plan.cache_key(spec)
+                for position, spec in enumerate(batch.specs())
+                if plan.cacheable(spec)}
+        hits = {position: cache.get(key) for position, key in keys.items()}
+        for part in batch.parts:
+            found = [position for position in batch.positions(part)
+                     if hits.get(position) is not None]
+            for column in part.columns:
+                batch.values[column.name][found] = column.to_array(
+                    [hits[position][column.name] for position in found]
+                )
+            batch.from_cache[found] = True
+    pending = np.flatnonzero(~batch.from_cache) if keys else None
+    for config, columns, rows, planes, seeds in plan.groups(batch, pending):
+        values = plan.pipeline.run_batch(config, planes, seeds, scalar)
+        for column in columns:
+            batch.values[column.name][rows] = values[column.name]
+        if keys:
+            fresh = rows_of({column.name: column.to_rows(
+                batch.values[column.name][rows]
+            ) for column in columns}, len(rows))
+            for position, row in zip(rows.tolist(), fresh):
+                if position in keys:
+                    cache.put(keys[position], row)
 
 
 def stream_results(
@@ -134,7 +134,8 @@ def stream_results(
     backend: str = "auto",
     cache: Optional[ResultCache] = None,
 ):
-    """Yield each chunk's ordered :class:`ScenarioResult` rows, lazily.
+    """Yield each chunk's executed :class:`~repro.engine.results.Batch`,
+    lazily (iterating a batch gives its ``ScenarioResult`` rows).
 
     ``plan`` is an :class:`~repro.engine.plan.ExecutionPlan` or a
     :class:`~repro.engine.plan.PlanWindow` of one; chunks are the
@@ -149,30 +150,20 @@ def stream_results(
     """
     window, effective, _label = _resolve_backend(plan, backend)
     plan = window.plan
-    pipeline = plan.pipeline
     for chunk in window.chunks():
         with tracer.span("stream.chunk", index=chunk.index,
                          backend=effective) as span:
             try:
-                work = _ChunkWork(plan, plan.chunk_scenarios(chunk), cache)
-                if effective == "serial":
-                    values = [
-                        pipeline.run(params, seed)
-                        for params, seed in work.items
-                    ]
-                else:
-                    values = (
-                        pipeline.run_batch(work.items) if work.items else []
-                    )
-                merged = work.merge(values, cache)
+                batch = plan.batch(chunk)
+                _execute(plan, batch, effective == "serial", cache)
             except Exception as exc:
                 raise DomainError(
                     f"pipeline {plan.pipeline_name!r}, scenarios "
                     f"[{chunk.start}, {chunk.stop}): "
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
-            span.set(n=len(work.scenarios), cache_hits=len(work.hits))
-        yield merged
+            span.set(n=len(batch), cache_hits=batch.n_hits)
+        yield batch
 
 
 def run_sweep_streaming(
@@ -244,22 +235,12 @@ def run_sweep_streaming(
     window, effective, label = _resolve_backend(sweep, backend, chunk_size)
     plan = window.plan
     sinks = tuple(sinks)
-    text = False
     if shards is None:
-        chunks = (
-            (results, len(results),
-             sum(1 for result in results if result.from_cache))
-            for results in stream_results(window, effective, cache)
-        )
+        chunks = stream_results(window, effective, cache)
     else:
         from .coordinator import ShardedChunks
 
-        # All-JSONL runs ship the workers' encoded text, not rows.
-        text = bool(sinks) and all(
-            isinstance(sink, JsonlSink) for sink in sinks
-        )
-        chunks = ShardedChunks(window, shards, effective, cache, text,
-                               max_retries)
+        chunks = ShardedChunks(window, shards, effective, cache, max_retries)
         label = f"shards({shards}):{effective}"
     plan_elapsed = time.perf_counter() - started
     meta: Dict[str, Any] = {
@@ -287,20 +268,17 @@ def run_sweep_streaming(
             while True:
                 stage_start = time.perf_counter()
                 try:
-                    payload, n_rows, chunk_hits = next(stream)
+                    batch = next(stream)
                 except StopIteration:
                     execute_elapsed += time.perf_counter() - stage_start
                     break
                 execute_elapsed += time.perf_counter() - stage_start
                 stage_start = time.perf_counter()
                 for sink in sinks:
-                    if text:
-                        sink.write_encoded(payload, n_rows)
-                    else:
-                        sink.write(payload)
+                    sink.write(batch)
                 sink_elapsed += time.perf_counter() - stage_start
-                rows += n_rows
-                hits += chunk_hits
+                rows += len(batch)
+                hits += batch.n_hits
                 chunks_done += 1
                 if progress is not None:
                     progress(chunks_done, window.n_chunks, rows,
@@ -330,3 +308,37 @@ def run_sweep_streaming(
         "sink_s": sink_elapsed,
     }
     return meta
+
+
+def run_sweep(
+    sweep,
+    backend: str = "auto",
+    chunk_size: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    shards: Optional[int] = None,
+) -> ResultSet:
+    """Expand and execute a sweep; results keep the expansion order.
+
+    ``sweep`` is a :class:`~repro.engine.spec.SweepSpec` or an explicit
+    sequence of :class:`~repro.engine.spec.ScenarioSpec` (which must
+    share one pipeline).  Scenarios whose key is already in ``cache``
+    are not re-executed; fresh results are memoised.  ``shards=k`` runs
+    the sweep in ``k`` worker processes (the cache then needs a
+    ``path``).  The rows are collected in memory — for sweeps too large
+    for that, use :func:`run_sweep_streaming` with a file sink.
+    """
+    started = time.perf_counter()
+    if not isinstance(sweep, SweepSpec):
+        # lower() refuses an empty scenario list: it has no pipeline.
+        sweep = list(sweep)
+        if not sweep:
+            return ResultSet([], {
+                "backend": backend,
+                "n_scenarios": 0,
+                "elapsed_s": time.perf_counter() - started,
+            })
+    sink = MemorySink()
+    meta = run_sweep_streaming(sweep, backend=backend, chunk_size=chunk_size,
+                               cache=cache, sinks=(sink,), shards=shards)
+    meta["elapsed_s"] = time.perf_counter() - started
+    return sink.result_set(meta)

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..compilecache import region
 from ..engine.pipelines import Column
+from ..engine.results import rows_of
 from ..errors import DomainError
 from ..telemetry import metrics, tracer
 from .format import (
@@ -75,25 +76,23 @@ class StoreSlice:
     def records(self) -> Iterator[Dict[str, Any]]:
         """Rows (params + values) in scenario order, nodata as ``None``:
         the values the sweep's rows carried."""
-        names = [name for name, _values in self.axes]
-        grids = [values for _name, values in self.axes]
-        flat = {
-            name: Column(name, str(arr.dtype),
-                         self.nodata.get(name)).to_rows(arr.reshape(-1))
-            for name, arr in self.data.items()
+        n = (int(np.prod(self.shape)) if self.axes or not self.data
+             else next(iter(self.data.values())).size)
+        index = np.arange(n)
+        columns: Dict[str, List[Any]] = {
+            name: [value] * n for name, value in self.fixed.items()
         }
-        n = int(np.prod(self.shape)) if self.shape else 1
-        for i in range(n):
-            row: Dict[str, Any] = dict(self.fixed)
-            remainder = i
-            for name, values in zip(names, grids):
-                stride = 1
-                for later in grids[names.index(name) + 1:]:
-                    stride *= len(later)
-                row[name] = values[(remainder // stride) % len(values)]
-            for name, values in flat.items():
-                row[name] = values[i]
-            yield row
+        stride = n
+        for name, values in self.axes:
+            stride //= len(values)
+            columns[name] = np.fromiter(
+                values, dtype=object, count=len(values)
+            )[index // stride % len(values)].tolist()
+        for name, arr in self.data.items():
+            columns[name] = Column(name, str(arr.dtype),
+                                   self.nodata.get(name)).to_rows(
+                arr.reshape(-1))
+        return iter(rows_of(columns, n))
 
 
 class TileStore:

@@ -15,10 +15,11 @@ directory, but its journal names every committed tile, so
 ``delta=True`` finishes the run.  Both entry points share the writer:
 
 * :class:`TileSink` adapts it to the streaming executor's
-  :class:`~repro.engine.sinks.ResultSink` protocol, cutting tiles off
-  the ordered row stream with a bounded buffer.  Sinks live in the
-  executor's process (shard workers only compute rows), so sharded
-  sweeps write tile stores unchanged.
+  :class:`~repro.engine.sinks.ResultSink` protocol, cutting tiles as
+  slices of the ordered batches' value columns, with at most one tile's
+  rows held over between chunks.  Sinks live in the executor's process
+  (shard workers only compute columns), so sharded sweeps write tile
+  stores unchanged.
 * the delta executor (:mod:`repro.store.delta`) starts a generation
   with :meth:`TileSink.begin`, reuses the previous generation's
   matching blobs through the writer, and runs the remaining tiles as a
@@ -33,9 +34,11 @@ import shutil
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+import numpy as np
+
 from ..errors import DomainError
 from ..engine.plan import ExecutionPlan, PlanWindow
-from ..engine.results import ScenarioResult
+from ..engine.results import Batch
 from ..engine.sinks import ResultSink
 from ..telemetry import metrics, tracer
 from .format import (
@@ -121,13 +124,15 @@ class TileWriter:
     # ------------------------------------------------------------------ #
 
     def write_tile(
-        self, tile: Tile, rows: Sequence[ScenarioResult]
+        self, tile: Tile, values: Dict[str, np.ndarray]
     ) -> Dict[str, Any]:
-        """Encode and persist one executed tile; returns its record."""
-        if len(rows) != tile.n_scenarios:
+        """Encode and persist one executed tile from its value columns
+        (declared dtypes, nodata in place); returns its record."""
+        n_rows = len(next(iter(values.values()), ()))
+        if n_rows != tile.n_scenarios:
             raise DomainError(
                 f"tile {tile.index} expects {tile.n_scenarios} rows, "
-                f"got {len(rows)}"
+                f"got {n_rows}"
             )
         tile_dir = self.tile_dir(tile.index)
         os.makedirs(tile_dir, exist_ok=True)
@@ -135,7 +140,7 @@ class TileWriter:
         with tracer.span("store.write_tile") as span:
             for column in self._columns:
                 name = column.name
-                arr = column.to_array([row.values[name] for row in rows])
+                arr = np.ascontiguousarray(values[name], dtype=column.dtype)
                 if not self._layout.linear:
                     arr = arr.reshape(tile.shape)
                 data, sha = encode_blob(arr)
@@ -149,14 +154,14 @@ class TileWriter:
                 }
                 self.bytes_written += len(data)
                 _M_BYTES_WRITTEN.add(len(data))
-            span.set(tile=tile.index, rows=len(rows))
+            span.set(tile=tile.index, rows=n_rows)
         record = self._record(tile, self._layout.fingerprint(tile), columns)
         self._records[tile.index] = record
         append_journal(self._path, [record])
         self.tiles_written += 1
-        self.rows_written += len(rows)
+        self.rows_written += n_rows
         _M_TILES_WRITTEN.add()
-        _M_ROWS_WRITTEN.add(len(rows))
+        _M_ROWS_WRITTEN.add(n_rows)
         return record
 
     def reuse_tile(
@@ -360,9 +365,10 @@ class TileSink(ResultSink):
     per tile, default ``16384``) or an explicit ``tile_shape`` (per-axis
     block sizes in pivot form — see :mod:`repro.store.layout`).
 
-    Rows arrive in scenario order (the executor guarantees it, sharded
-    or not), so the sink holds at most one tile plus one chunk of rows
-    in memory before flushing blobs to disk.  The manifest is written by
+    Batches arrive in scenario order (the executor guarantees it,
+    sharded or not); each tile is a slice of their value columns, so the
+    sink holds at most one tile plus one chunk of values in memory
+    before flushing blobs to disk.  The manifest is written by
     :meth:`close` only after the final tile — an interrupted run leaves
     blobs and a journal of its committed tiles but no manifest: readers
     refuse it, a ``delta=True`` run executes only the uncommitted
@@ -382,7 +388,8 @@ class TileSink(ResultSink):
         self._layout: Optional[TileLayout] = None
         self._begun: Optional[ExecutionPlan] = None
         self._tiles: deque = deque()
-        self._buffer: List[ScenarioResult] = []
+        # Value columns of rows not yet in a tile.
+        self._held: Optional[Dict[str, np.ndarray]] = None
         self._manifest: Optional[Dict[str, Any]] = None
 
     @property
@@ -441,7 +448,7 @@ class TileSink(ResultSink):
             self.begin(window.plan)
         self._begun = None
         self._tiles = deque(self._window_tiles(window))
-        self._buffer = []
+        self._held = None
 
     def _window_tiles(self, window: PlanWindow) -> List[Tile]:
         """The tiles ``window`` covers, in order; its ranges must be
@@ -459,16 +466,29 @@ class TileSink(ResultSink):
             )
         return tiles
 
-    def write(self, results: Sequence[ScenarioResult]) -> None:
+    def write(self, batch: Batch) -> None:
         if self._writer is None:
             raise DomainError("TileSink.write() before open()")
-        self._buffer.extend(results)
-        while self._tiles and len(self._buffer) >= self._tiles[0].n_scenarios:
-            tile = self._tiles.popleft()
-            self._writer.write_tile(tile, self._buffer[:tile.n_scenarios])
-            del self._buffer[:tile.n_scenarios]
+        values, n_rows = batch.values, len(batch)
+        if self._held is not None:
+            values = {name: np.concatenate([self._held[name], column])
+                      for name, column in values.items()}
+            n_rows += len(next(iter(self._held.values())))
+        start = 0
+        while self._tiles and n_rows - start >= self._tiles[0].n_scenarios:
+            # Popped once written: after a failed write, close() sees
+            # the tile pending and writes no manifest.
+            stop = start + self._tiles[0].n_scenarios
+            self._writer.write_tile(self._tiles[0], {
+                name: column[start:stop] for name, column in values.items()
+            })
+            self._tiles.popleft()
+            start = stop
+        self._held = ({name: column[start:]
+                       for name, column in values.items()}
+                      if start < n_rows else None)
 
     def close(self) -> None:
         if (self._writer is not None and self._manifest is None
-                and not self._tiles and not self._buffer):
+                and not self._tiles and self._held is None):
             self._manifest = self._writer.finalise()

@@ -281,6 +281,12 @@ class TestSpecValidation:
             register(Pipeline())
 
 
+SIL_SWEEP = SweepSpec(pipeline="sil_classification", base={"mode": 0.003},
+                      grid={"sigma": [0.2, 0.9, 2.0, 3.0]})
+DAL_SWEEP = SweepSpec(pipeline="do178b_map", base={"mode": 1e-8, "sigma": 1.0},
+                      grid={"dal": ["A", "B", "C", "D", "E"]})
+
+
 class TestResultSet:
     def test_empty_sweep(self):
         result = run_sweep(
@@ -302,6 +308,13 @@ class TestResultSet:
         assert np.all(means > 0)
         with pytest.raises(DomainError):
             result.values("nope")
+        # None cells (no SIL granted, no guidance to meet) read as NaN.
+        levels = run_sweep(SIL_SWEEP).values("granted_level")
+        assert levels[:2].tolist() == [2.0, 1.0]
+        assert np.isnan(levels[2:]).all()
+        confidence = run_sweep(DAL_SWEEP).values("confidence_within_guidance")
+        assert np.isnan(confidence[3:]).all() and not np.isnan(
+            confidence[:3]).any()
 
     def test_more_evidence_raises_confidence(self):
         result = run_sweep(SURVIVAL_SWEEP)
@@ -322,6 +335,16 @@ class TestResultSet:
         worst = result.best("confidence", maximise=False)
         assert worst.values["confidence"] == pytest.approx(
             float(result.values("confidence").min()))
+        # best() skips None cells.
+        levels = run_sweep(SIL_SWEEP)
+        assert [r.values["granted_level"] for r in levels] == [2, 1, None,
+                                                               None]
+        assert levels.best("granted_level") is levels[0]
+        assert levels.best("granted_level", maximise=False) is levels[1]
+        dals = run_sweep(DAL_SWEEP)
+        assert dals.best("confidence_within_guidance") is dals[2]
+        assert dals.best("confidence_within_guidance",
+                         maximise=False) is dals[0]
 
     def test_to_table_and_csv(self, tmp_path):
         result = run_sweep(SURVIVAL_SWEEP)

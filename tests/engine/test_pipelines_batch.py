@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.engine import (
     Column,
     Pipeline,
+    ScenarioSpec,
     SweepSpec,
     available_pipelines,
     get_pipeline,
@@ -23,6 +24,7 @@ from repro.engine import (
     register_batch_kernel,
     run_sweep,
 )
+from repro.engine.results import rows_of
 from repro.errors import DomainError
 
 TOL = 1e-12
@@ -66,6 +68,13 @@ def _shipped_pipelines():
     ]
 
 
+def batch_rows(pipeline, config, planes, seeds):
+    """One group's ``run_batch`` columns as rows (the engine's adapter)."""
+    columns = pipeline.run_batch(config, planes, seeds)
+    return rows_of({name: values.tolist() for name, values in columns.items()},
+                   len(seeds))
+
+
 def assert_batch_matches_scalar(name, params_list, seeds=None):
     """run_batch must agree with a run() loop: 1e-12 on floats, equality
     on every other column (levels, regions, booleans, None)."""
@@ -75,7 +84,11 @@ def assert_batch_matches_scalar(name, params_list, seeds=None):
     items = [(pipeline.resolve(params), seed)
              for params, seed in zip(params_list, seeds)]
     scalar = [pipeline.run(params, seed) for params, seed in items]
-    batch = pipeline.run_batch(items)
+    batch = [dict(result.values) for result in run_sweep(
+        [ScenarioSpec(name, params, seed=seed)
+         for params, seed in zip(params_list, seeds)],
+        backend="vectorized",
+    )]
     assert len(batch) == len(scalar)
     for scalar_row, batch_row in zip(scalar, batch):
         assert set(scalar_row) == set(batch_row)
@@ -335,12 +348,16 @@ class TestDispatchLayer:
             name = "test_doubler_pipeline"
             defaults = {"x": 1.0}
 
+            def columns(self, config):
+                return (Column("y"),)
+
             def run(self, params, seed=None):
                 return {"y": 2.0 * self.resolve(params)["x"]}
 
         pipeline = Doubler()
         assert not pipeline.supports_batch
-        out = pipeline.run_batch([({"x": 2.0}, None), ({"x": 3.0}, None)])
+        out = batch_rows(pipeline, {}, {"x": np.array([2.0, 3.0])},
+                         [None, None])
         assert out == [{"y": 4.0}, {"y": 6.0}]
 
     def test_registering_kernel_flips_supports_batch_and_dispatches(self):
@@ -360,13 +377,13 @@ class TestDispatchLayer:
         from repro.engine.pipelines import _BATCH_KERNELS
 
         @register_batch_kernel("test_tripler_pipeline")
-        def _kernel(config, params, seeds):
-            x = np.array([p["x"] for p in params])
-            return {"y": 3.0 * x, "batched": np.ones(len(params), bool)}
+        def _kernel(config, planes, seeds):
+            x = np.asarray(planes["x"])
+            return {"y": 3.0 * x, "batched": np.ones(len(seeds), bool)}
 
         try:
             assert pipeline.supports_batch
-            out = pipeline.run_batch([({"x": 2.0}, None)])
+            out = batch_rows(pipeline, {}, {"x": np.array([2.0])}, [None])
             assert out == [{"y": 6.0, "batched": True}]
         finally:
             del _BATCH_KERNELS["test_tripler_pipeline"]

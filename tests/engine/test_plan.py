@@ -6,11 +6,22 @@ same parameters, same seeds, same order — for every chunk layout, or
 streamed sweeps would silently diverge from collected ones.
 """
 
+import pathlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Chunk, ScenarioSpec, SweepSpec, lower
+from repro.engine import (
+    Chunk,
+    MemorySink,
+    ScenarioSpec,
+    SweepSpec,
+    get_pipeline,
+    lower,
+    run_sweep,
+    run_sweep_streaming,
+)
 from repro.engine.plan import DEFAULT_CHUNK_SIZE
 from repro.errors import DomainError
 from repro.numerics import spawn_seeds, spawn_seeds_range
@@ -82,7 +93,7 @@ class TestLowering:
         rebuilt = [
             scenario
             for chunk in plan.chunks()
-            for scenario in plan.chunk_scenarios(chunk)
+            for scenario in plan.batch(chunk).specs()
         ]
         assert rebuilt == expanded
 
@@ -93,7 +104,7 @@ class TestLowering:
         rebuilt = [
             scenario
             for chunk in plan.chunks()
-            for scenario in plan.chunk_scenarios(chunk)
+            for scenario in plan.batch(chunk).specs()
         ]
         assert rebuilt == SWEEP.expand()
 
@@ -102,7 +113,7 @@ class TestLowering:
                           base={"mode": 0.003, "sigma": 0.9},
                           grid={"demands": [0, 10]})
         plan = lower(sweep)
-        assert [s.seed for s in plan.chunk_scenarios(plan.chunk(0))] == [
+        assert [s.seed for s in plan.batch(plan.chunk(0)).specs()] == [
             None, None,
         ]
 
@@ -122,10 +133,13 @@ class TestLowering:
         assert plan.n_chunks == 0
         assert list(plan.chunks()) == []
 
-    def test_chunk_items_resolve_through_the_pipeline(self):
+    def test_chunk_planes_resolve_through_the_pipeline(self):
         plan = lower(SWEEP, chunk_size=4)
-        scenarios = plan.chunk_scenarios(plan.chunk(0))
-        items = plan.chunk_items(scenarios)
+        batch = plan.batch(plan.chunk(0))
+        scenarios = batch.specs()
+        (_config, _columns, _rows, planes, seeds), = plan.groups(batch)
+        items = [({name: values[i] for name, values in planes.items()},
+                  seeds[i]) for i in range(len(seeds))]
         assert len(items) == 4
         params, seed = items[0]
         assert params["mode"] == 0.003           # base carried over
@@ -138,14 +152,14 @@ class TestLowering:
         with pytest.raises(DomainError, match="demands must be an integer"):
             lower(sweep)
 
-    def test_resolution_errors_surface_in_chunk_items(self):
+    def test_resolution_errors_surface_in_chunk_planes(self):
         # Scenario 0 and its one-axis neighbours are valid; the corner
         # joining both axes (3 doubters of 2 experts) is not.
         sweep = SweepSpec(pipeline="elicitation_pool",
                           grid={"n_experts": [5, 2], "n_doubters": [0, 3]})
         plan = lower(sweep)
         with pytest.raises(DomainError, match="doubter count"):
-            plan.chunk_items(plan.chunk_scenarios(plan.chunk(0)))
+            plan.groups(plan.batch(plan.chunk(0)))
 
     def test_out_of_range_indices_rejected(self):
         plan = lower(SWEEP, chunk_size=5)
@@ -174,6 +188,80 @@ class TestLowering:
         seeded = lower(SweepSpec(pipeline="bbn_query", base=base,
                                  grid=grid, seed=1))
         assert seeded.cacheable(seeded.scenario(0))
+
+
+CASE_FILE = str(pathlib.Path(__file__).resolve().parents[2]
+                / "examples" / "case_confidence.yaml")
+
+
+def _first_refused(pipeline, sweep):
+    """The first scenario the scalar resolve refuses, and its message."""
+    for index, scenario in enumerate(sweep.expand()):
+        try:
+            pipeline.resolve(scenario.params)
+        except DomainError as exc:
+            return index, str(exc)
+    raise AssertionError("every scenario resolves")
+
+
+class TestResolveOnce:
+    def test_no_per_row_resolve_without_a_cache(self, monkeypatch):
+        # At most one resolve per axis value plus one per configuration
+        # group (32 + 32 + 1 here), however the sweep is chunked.
+        pipeline = get_pipeline("case_confidence")
+        calls = []
+        resolve = pipeline.resolve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return resolve(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "resolve", counted)
+        sweep = SweepSpec(
+            pipeline="case_confidence", base={"case_file": CASE_FILE},
+            grid={"A1.p_true": [0.5 + 0.01 * i for i in range(32)],
+                  "S1.dependence": [0.02 * i for i in range(32)]},
+        )
+        assert len(run_sweep(sweep, chunk_size=64)) == 1024
+        assert len(calls) <= 32 + 32 + 1
+
+    @pytest.mark.parametrize("grid", [
+        # One failing corner, in the second configuration group.
+        {"n_experts": [5, 2], "n_doubters": [0, 3]},
+        {"sigma_low": [0.5, 1.0], "sigma_high": [1.2, 0.8]},
+        # Both checks fail, on different rows of both groups.
+        {"n_experts": [5, 2], "n_doubters": [0, 3],
+         "sigma_low": [0.5, 1.0], "sigma_high": [1.2, 0.8]},
+    ], ids=["doubters", "sigmas", "both"])
+    @pytest.mark.parametrize("chunk_size", [1, None], ids=["chunk1", "default"])
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    def test_checks_joining_axes_refuse_the_same_scenario(self, grid,
+                                                           chunk_size,
+                                                           backend):
+        # Lowering checks each axis value; the corner where two valid
+        # values clash is refused by its chunk, with resolve's message.
+        sweep = SweepSpec(pipeline="elicitation_pool", grid=grid, seed=3)
+        index, message = _first_refused(get_pipeline("elicitation_pool"),
+                                         sweep)
+        plan = lower(sweep, chunk_size=chunk_size)
+        chunk = plan.chunk(index // plan.chunk_size)
+        sink = MemorySink()
+        with pytest.raises(DomainError) as excinfo:
+            run_sweep_streaming(plan, backend=backend, sinks=(sink,))
+        assert str(excinfo.value) == (
+            f"pipeline 'elicitation_pool', scenarios [{chunk.start}, "
+            f"{chunk.stop}): DomainError: {message}"
+        )
+        assert len(sink.results) == chunk.start
+
+    def test_mode_and_sigma_bound_together_refused_at_lower(self):
+        sweep = SweepSpec(pipeline="do178b_map",
+                          grid={"dal": ["A", "B"], "mode": [1e-8, None],
+                                "sigma": [1.0, None]})
+        _index, message = _first_refused(get_pipeline("do178b_map"), sweep)
+        with pytest.raises(DomainError) as excinfo:
+            lower(sweep)
+        assert str(excinfo.value) == message
 
 
 class TestLoweringErrors:
@@ -213,7 +301,7 @@ class TestExplicitScenarioPlans:
         plan = lower(scenarios, chunk_size=2)
         assert plan.n_scenarios == 3
         assert plan.scenario(1) is scenarios[1]
-        assert plan.chunk_scenarios(plan.chunk(1)) == scenarios[2:]
+        assert plan.batch(plan.chunk(1)).specs() == scenarios[2:]
 
     def test_plan_chunk_size_conflict_detected(self):
         from repro.engine import run_sweep_streaming

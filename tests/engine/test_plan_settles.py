@@ -229,11 +229,11 @@ register(_FailAtPipeline())
 
 
 @register_batch_kernel("test_fail_at")
-def _fail_at_batch(config, params, seeds):
-    for merged in params:
-        if merged["i"] == merged["fail_at"]:
-            raise ZeroDivisionError(f"cannot double scenario {merged['i']}")
-    return {"doubled": 2.0 * np.array([p["i"] for p in params], float)}
+def _fail_at_batch(config, planes, seeds):
+    for i, fail_at in zip(planes["i"].tolist(), planes["fail_at"].tolist()):
+        if i == fail_at:
+            raise ZeroDivisionError(f"cannot double scenario {i}")
+    return {"doubled": 2.0 * np.asarray(planes["i"], float)}
 
 
 class TestNamedFailures:

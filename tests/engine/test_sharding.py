@@ -165,7 +165,7 @@ def _shards(plan, count):
 
 
 def _window_scenarios(plan, window):
-    return [s for c in window.chunks() for s in plan.chunk_scenarios(c)]
+    return [s for c in window.chunks() for s in plan.batch(c).specs()]
 
 
 class TestShardRanges:
@@ -187,7 +187,7 @@ class TestPlanShard:
     def test_concat_of_shards_is_the_whole_plan(self):
         plan = lower(SURVIVAL_SWEEP, chunk_size=5)
         whole = [(s.params, s.seed) for c in plan.chunks()
-                 for s in plan.chunk_scenarios(c)]
+                 for s in plan.batch(c).specs()]
         for k in (1, 2, 3, 4, 7):
             sharded = []
             for shard in _shards(plan, k):
@@ -241,7 +241,7 @@ class TestPlanShard:
     def test_seeded_shards_carry_the_absolute_seed_window(self):
         plan = lower(PANEL_SWEEP, chunk_size=3)
         whole_seeds = [s.seed for c in plan.chunks()
-                       for s in plan.chunk_scenarios(c)]
+                       for s in plan.batch(c).specs()]
         sharded = [s.seed for shard in _shards(plan, 3)
                    for s in _window_scenarios(plan, shard)]
         assert sharded == whole_seeds
@@ -494,6 +494,17 @@ BIT_IDENTITY_SWEEPS = {
     "deterministic-grid": SURVIVAL_SWEEP,
     "seeded-grid": SEEDED_BBN,
     "seeded-explicit": list(SEEDED_BBN.expand())[::-1],
+    # int64 SIL levels with None (no level granted) in two groups.
+    "levels-with-none": SweepSpec(
+        pipeline="sil_classification", base={"mode": 0.003},
+        grid={"sigma": [0.2, 0.9, 2.0, 3.0],
+              "scheme": ["low_demand", "high_demand"]},
+    ),
+    # String columns, NaN nodata and None levels.
+    "strings-and-nan": SweepSpec(
+        pipeline="do178b_map", base={"mode": 1e-8, "sigma": 1.0},
+        grid={"dal": ["A", "B", "C", "D", "E"]},
+    ),
 }
 
 

@@ -2,10 +2,13 @@
 
 For each of the 13 pipelines a fixed grid (a configuration axis where
 the pipeline has one, a seed where it is stochastic, at least two
-tiles) runs at ``chunk_size`` 1 and at the default, and
+tiles), plus an explicit scenario list whose scenarios bind different
+parameters, runs at ``chunk_size`` 1 and at the default, and
 
-* JSONL rows, ``CsvSink`` bytes (equal to ``ResultSet.to_csv()``) and
-  ``TileStore.slice().records()`` all equal the collected rows;
+* JSONL bytes equal a per-row ``json.dumps`` of the collected rows
+  (key order and float spelling included), ``CsvSink`` bytes equal
+  ``ResultSet.to_csv()``, and JSONL rows and
+  ``TileStore.slice().records()`` equal the collected rows;
 * ints stay ints and ``None`` stays ``None`` — the store writes each
   column in its declared dtype with a declared nodata value, so a
   granted SIL comes back as ``2`` or ``None``, never ``2.0``/``nan``.
@@ -20,11 +23,15 @@ import json
 import os
 import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     CsvSink,
     JsonlSink,
+    ScenarioSpec,
     SweepSpec,
     run_sweep,
     run_sweep_streaming,
@@ -40,8 +47,8 @@ LEGS = {
     "leg2_validity": 0.88, "leg2_sensitivity": 0.9, "leg2_specificity": 0.85,
 }
 
-#: One fixed sweep per pipeline (two for the growth models), at most 24
-#: scenarios each.
+#: One fixed sweep per pipeline (two for the growth models) plus one
+#: explicit scenario list, at most 24 scenarios each.
 PARITY_SWEEPS = {
     "survival_update": SweepSpec(
         pipeline="survival_update",
@@ -127,6 +134,21 @@ PARITY_SWEEPS = {
         base={"mode": 0.003},
         grid={"beta": [0.0, 0.05, 0.5], "sigma": [0.5, 1.5]},
     ),
+    # Scenarios binding different parameters, in different orders, with
+    # and without seeds, in two interleaved configuration groups.
+    "explicit_survival_update": [
+        ScenarioSpec("survival_update", {"mode": 0.003, "sigma": 0.9}),
+        ScenarioSpec("survival_update",
+                     {"sigma": 1.2, "demands": 100, "mode": 0.001}, seed=4),
+        ScenarioSpec("survival_update",
+                     {"mode": 0.01, "sigma": 0.5, "bound": 1e-3,
+                      "points_per_decade": 60}),
+        ScenarioSpec("survival_update",
+                     {"mode": 0.002, "sigma": 0.8, "demands": 10}, seed=9),
+        ScenarioSpec("survival_update",
+                     {"points_per_decade": 60, "mode": 0.005,
+                      "sigma": 1.1}),
+    ],
 }
 
 
@@ -191,6 +213,14 @@ def assert_same_rows(got, want):
             )
 
 
+def jsonl_reference(collected):
+    """The JSONL bytes of the collected rows, encoded row by row."""
+    return "".join(
+        json.dumps(row_of(r), separators=(",", ":"), default=str) + "\n"
+        for r in collected
+    ).encode("utf-8")
+
+
 def jsonl_rows(path):
     with open(path, encoding="utf-8") as handle:
         return [json.loads(line) for line in handle]
@@ -221,6 +251,7 @@ def test_every_sink_gives_back_the_collected_rows(tmp_path, name,
         sinks=(JsonlSink(str(jsonl)), CsvSink(str(csv_path)),
                TileSink(str(store), tile_scenarios=tile_scenarios)),
     )
+    assert jsonl.read_bytes() == jsonl_reference(collected)
     assert_same_rows(jsonl_rows(jsonl), [row_of(r) for r in collected])
     assert csv_path.read_bytes() == collected.to_csv().encode("utf-8")
     opened = TileStore.open(str(store))
@@ -245,6 +276,7 @@ def test_mixed_column_sweeps_stream_and_stores_refuse(tmp_path, name,
     run_sweep_streaming(sweep, chunk_size=chunk_size,
                         sinks=(JsonlSink(str(jsonl)),
                                CsvSink(str(csv_path))))
+    assert jsonl.read_bytes() == jsonl_reference(collected)
     assert_same_rows(jsonl_rows(jsonl), [row_of(r) for r in collected])
     assert csv_path.read_bytes() == collected.to_csv().encode("utf-8")
 
@@ -263,3 +295,24 @@ def test_mixed_column_sweeps_stream_and_stores_refuse(tmp_path, name,
             run_sweep_streaming(sweep, chunk_size=chunk_size, delta=delta,
                                 sinks=(TileSink(str(store)),))
         assert directory_bytes(store) == before
+
+
+@given(floats=st.lists(st.floats(allow_nan=True, allow_infinity=True)
+                       | st.sampled_from([0.0, -0.0, 0.1, 1e-300]),
+                       min_size=1, max_size=40),
+       ints=st.lists(st.integers(min_value=-3, max_value=2**40),
+                     min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_column_spelling_is_json_dumps(floats, ints):
+    # Each distinct value is spelt once and gathered: -0.0 stays apart
+    # from 0.0, NaN and the infinities keep json's spelling, and a
+    # declared nodata value reads as null.
+    from repro.engine.sinks import _json
+
+    assert _json(np.array(floats)) == [json.dumps(v) for v in floats]
+    assert _json(np.array(floats), np.nan) == [
+        "null" if v != v else json.dumps(v) for v in floats
+    ]
+    assert _json(np.array(ints), -1) == [
+        "null" if v == -1 else json.dumps(v) for v in ints
+    ]

@@ -203,7 +203,7 @@ class TestBitForBitRng:
         ]
         sharded = []
         for chunk in plan.chunks():
-            scenarios = plan.chunk_scenarios(chunk)
+            scenarios = plan.batch(chunk).specs()
             shard = run_sweep(scenarios, backend="vectorized")
             sharded.extend((r.spec.seed, dict(r.values)) for r in shard)
         assert sharded == whole

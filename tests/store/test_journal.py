@@ -167,12 +167,11 @@ class TestKilledRun:
             "from repro.store import TileSink\n"
             "pipeline = get_pipeline('sil_classification')\n"
             "original = pipeline.run_batch\n"
-            "def run_batch(items):\n"
-            "    params = items[0][0]\n"
-            "    if (params['sigma'], params['required_confidence']) "
+            "def run_batch(config, params, seeds, scalar=False):\n"
+            "    if (params['sigma'][0], params['required_confidence'][0]) "
             "== (1.1, 0.75):\n"
             "        os._exit(9)\n"
-            "    return original(items)\n"
+            "    return original(config, params, seeds, scalar)\n"
             "pipeline.run_batch = run_batch\n"
             f"run_sweep_streaming(SweepSpec.from_dict({SWEEP.to_dict()!r}),"
             f" sinks=(TileSink({path!r}, tile_scenarios={TILE}),),"

@@ -115,8 +115,9 @@ class TestTileSink:
         results = []
         from repro.engine.stream import stream_results
         for chunk in stream_results(plan):
-            results.extend(chunk)
-        sink.write(results[:8])   # 2 of 3 tiles
+            results.append(chunk)
+        for chunk in results[:2]:   # 2 of 3 tiles
+            sink.write(chunk)
         sink.close()
         assert not os.path.exists(os.path.join(path, "manifest.json"))
         assert sink.manifest is None

@@ -4,9 +4,11 @@ The paper's claims are about *families* of scenarios; this example walks
 the three steps the engine is built around:
 
 1. one scenario, run declaratively;
-2. a sweep over (sigma, demands), executed in a single vectorised pass
-   with a result cache;
+2. a sweep over (sigma, demands), executed in a single vectorised pass;
 3. tabular export — text table and CSV — plus the equivalent CLI call.
+
+To rerun a family without recomputing it, write it to a tile store and
+rerun with ``delta=True``: ``examples/delta_sweep.py`` walks that.
 
 Run with::
 
@@ -19,7 +21,7 @@ The same sweep is available to the command line as
         --spec examples/sweep_spec.yaml --csv sweep.csv --limit 10
 """
 
-from repro.engine import ResultCache, ScenarioSpec, SweepSpec, run_sweep
+from repro.engine import ScenarioSpec, SweepSpec, run_sweep
 
 # ---------------------------------------------------------------- #
 # 1. A single scenario: the paper's anchor judgement after 1,000
@@ -44,13 +46,8 @@ sweep = SweepSpec(
         "demands": [0, 10, 100, 1000, 10000],
     },
 )
-cache = ResultCache()
-results = run_sweep(sweep, cache=cache)
-print("\nfirst run:  ", results.summary())
-
-# A repeated run is served from the cache.
-results = run_sweep(sweep, cache=cache)
-print("second run: ", results.summary())
+results = run_sweep(sweep)
+print("\n" + results.summary())
 
 # ---------------------------------------------------------------- #
 # 3. Tabular export.

@@ -9,9 +9,10 @@ staged architecture:
 1. **plan** — lower a sweep to its :class:`ExecutionPlan` IR and look at
    the chunk layout;
 2. **execute** — stream 100,000 whole-case scenarios to a JSONL file
-   with progress reporting, in constant memory;
-3. **cache** — rerun against a disk-persistent :class:`ResultCache` and
-   watch the second pass be pure cache hits.
+   with progress reporting, in constant memory.
+
+To rerun a sweep without recomputing it, stream it into a tile store and
+rerun with ``delta=True``: ``examples/delta_sweep.py`` walks that.
 
 Run with::
 
@@ -20,22 +21,14 @@ Run with::
 The CLI equivalent::
 
     PYTHONPATH=src python -m repro.cli sweep \
-        --spec examples/sweep_spec.yaml --out rows.jsonl \
-        --progress --cache results_cache.jsonl
-    PYTHONPATH=src python -m repro.cli cache stats --path results_cache.jsonl
+        --spec examples/sweep_spec.yaml --out rows.jsonl --progress
 """
 
 import pathlib
 import sys
 import tempfile
 
-from repro.engine import (
-    JsonlSink,
-    ResultCache,
-    SweepSpec,
-    lower,
-    run_sweep_streaming,
-)
+from repro.engine import JsonlSink, SweepSpec, lower, run_sweep_streaming
 
 case_file = str(pathlib.Path(__file__).parent / "case_confidence.yaml")
 workdir = pathlib.Path(tempfile.mkdtemp(prefix="repro_stream_"))
@@ -63,7 +56,6 @@ print(f"first chunk covers scenarios [{plan.chunk(0).start}, "
 #    memory is one chunk; the rows land on disk as they finish.
 # ---------------------------------------------------------------- #
 rows_path = workdir / "case_rows.jsonl"
-cache = ResultCache(path=str(workdir / "results_cache.jsonl"))
 
 
 def progress(done_chunks, n_chunks, done_rows, n_rows):
@@ -72,20 +64,7 @@ def progress(done_chunks, n_chunks, done_rows, n_rows):
 
 
 meta = run_sweep_streaming(
-    plan, sinks=(JsonlSink(str(rows_path)),), cache=cache,
-    progress=progress,
+    plan, sinks=(JsonlSink(str(rows_path)),), progress=progress,
 )
 print(f"streamed {meta['rows']} rows in {meta['elapsed_s']:.2f}s "
       f"({meta['n_chunks']} chunks) -> {rows_path}")
-
-# ---------------------------------------------------------------- #
-# 3. Cache: the same sweep again — every scenario is now a disk-backed
-#    cache hit, and a *new* process reading the same cache path would
-#    see the same hits (try rerunning this script with workdir fixed).
-# ---------------------------------------------------------------- #
-again = run_sweep_streaming(
-    plan, sinks=(JsonlSink(str(workdir / "case_rows_2.jsonl")),),
-    cache=cache,
-)
-print(f"rerun: cache {again['cache_hits']} hit / "
-      f"{again['cache_misses']} miss in {again['elapsed_s']:.2f}s")

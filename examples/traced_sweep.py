@@ -85,8 +85,7 @@ def main() -> None:
     snapshot = metrics.snapshot()
     print("\nmetrics vs meta (must agree exactly):")
     for metric, meta_key in (("engine.rows", "rows"),
-                             ("engine.chunks", "n_chunks"),
-                             ("engine.cache_misses", "cache_misses")):
+                             ("engine.chunks", "n_chunks")):
         counted = snapshot[metric]["value"]
         expected = meta[meta_key]
         assert counted == expected, (metric, counted, expected)

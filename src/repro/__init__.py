@@ -22,10 +22,10 @@ dependability claim as a first-class, quantified object:
   simulation (:mod:`repro.elicitation`, :mod:`repro.experiment`);
 * risk models and ALARP/ACARP decision support (:mod:`repro.risk`);
 * standards tables (:mod:`repro.standards`);
-* a batched scenario-sweep engine with vectorised kernels, a streaming
-  executor and a result cache (:mod:`repro.engine`), all compiled
-  artefacts memoised through one unified cache
-  (:mod:`repro.compilecache`);
+* a batched scenario-sweep engine with vectorised kernels and a
+  streaming executor (:mod:`repro.engine`), incremental reruns through
+  a tiled result store (:mod:`repro.store`), and all compiled artefacts
+  memoised through one unified cache (:mod:`repro.compilecache`);
 * built-in observability — tracing spans, a metrics registry and
   profiling summaries across the whole plan/compile/execute stack,
   off by default at ~zero cost (:mod:`repro.telemetry`).
@@ -58,7 +58,7 @@ from .distributions import (
     LogNormalJudgement,
     TwoPointWorstCase,
 )
-from .engine import ResultCache, ResultSet, ScenarioSpec, SweepSpec, run_sweep
+from .engine import ResultSet, ScenarioSpec, SweepSpec, run_sweep
 from .sil import LOW_DEMAND, HIGH_DEMAND, assess
 from .update import DemandEvidence, confidence_growth, survival_update
 
@@ -83,7 +83,6 @@ __all__ = [
     "JudgementDistribution",
     "LogNormalJudgement",
     "TwoPointWorstCase",
-    "ResultCache",
     "ResultSet",
     "ScenarioSpec",
     "SweepSpec",

@@ -788,8 +788,8 @@ def compile_network(network: BayesianNetwork) -> CompiledNetwork:
     rebuild an identical network per scenario (the engine's ``bbn_query``
     pipeline, ``two_leg_posterior`` over repeated parameters) share one
     compilation.  The backing store is the ``"bbn.network"`` region of
-    :mod:`repro.compilecache` — LRU-bounded, thread-safe, and visible to
-    ``repro-case cache stats``.
+    :mod:`repro.compilecache` — LRU-bounded, thread-safe, and counted
+    by ``repro-case sweep --metrics``.
     """
     return _cache.get_or_create(
         network.content_hash(), lambda: CompiledNetwork(network)
@@ -798,9 +798,7 @@ def compile_network(network: BayesianNetwork) -> CompiledNetwork:
 
 def compile_cache_stats() -> Dict[str, int]:
     """Entries/hits/misses of the shared network-compile cache region."""
-    stats = _cache.stats()
-    return {"entries": stats["entries"], "hits": stats["hits"],
-            "misses": stats["misses"]}
+    return _cache.stats()
 
 
 def clear_compile_cache() -> None:

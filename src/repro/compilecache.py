@@ -1,43 +1,37 @@
 """The unified content-hash cache behind every compiled artefact.
 
-Before this module, the library kept three separate content-hash LRU
-memoisers with three separate conventions: ``compile_network`` in
-:mod:`repro.bbn.compiled`, ``compile_case``/``load_case`` in
-:mod:`repro.arguments.compiled`, and the sweep-result cache in
-:mod:`repro.engine.cache`.  They are now all *regions* of one core:
+Every compilation layer memoises through one core: ``compile_network``
+in :mod:`repro.bbn.compiled`, ``compile_case``/``load_case`` in
+:mod:`repro.arguments.compiled` and the tile reader's decoded blobs in
+:mod:`repro.store.reader` are all *regions* of it:
 
-* :class:`ContentCache` — a thread-safe, size-bounded LRU map from
-  content-hash keys to values, with hit/miss accounting and optional
-  JSONL **disk persistence** for JSON-representable values (the sweep
-  result cache uses this; compiled objects stay in memory only).
+* :class:`ContentCache` — a thread-safe, size-bounded in-memory LRU map
+  from content-hash keys to values, with hit/miss accounting.
 * :func:`region` — named process-wide cache instances.  Compilation
   layers ask for their region once at import time
-  (``region("bbn.network")``, ``region("arguments.case")``, ...) and the
-  ``repro-case cache stats`` subcommand reports them all.
+  (``region("bbn.network")``, ``region("arguments.case")``, ...), and
+  ``repro-case sweep --metrics`` reports each region's hits and misses
+  over a run.
 * :func:`cache_stats` / :func:`clear_all_regions` — whole-process
   introspection and reset.
 
 Keys are caller-defined strings; by convention they are canonical
 content hashes (:meth:`BayesianNetwork.content_hash`,
-:meth:`QuantifiedCase.content_hash`, :meth:`ScenarioSpec.key`), so a
-stale value cannot be served after the thing it describes changes — the
-key changes with the content, and invalidation is automatic.
+:meth:`QuantifiedCase.content_hash`, blob digests), so a stale value
+cannot be served after the thing it describes changes — the key changes
+with the content, and invalidation is automatic.
 
-Disk persistence (``ContentCache(path=...)``) is an append-only JSONL
-log: each ``put`` appends one ``{"key": ..., "value": ...}`` line, and
-construction replays the log (later lines win) so the cache survives
-process restarts.  ``clear()`` truncates the log; :meth:`compact`
-rewrites it to one line per live entry.
+Sweep results are not kept here: a sweep rerun without recomputing
+reads them from a tile store (``run_sweep_streaming(...,
+delta=True)``, :mod:`repro.store`).
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from .errors import DomainError
 from .telemetry import metrics, tracer
@@ -74,13 +68,10 @@ class ContentCache:
     """A thread-safe LRU map from content-hash keys to cached values.
 
     ``maxsize`` bounds the entry count (least-recently-used entries are
-    evicted first).  With ``path`` set, every ``put`` is appended to a
-    JSONL log and the log is replayed on construction, so the cache
-    survives process restarts; values must then be JSON-representable.
+    evicted first).
     """
 
     def __init__(self, maxsize: int = 100_000,
-                 path: Optional[str] = None,
                  name: Optional[str] = None):
         if maxsize < 1:
             raise DomainError("cache maxsize must be positive")
@@ -94,11 +85,7 @@ class ContentCache:
         self._m_hits = metrics.counter(f"{prefix}.hits")
         self._m_misses = metrics.counter(f"{prefix}.misses")
         self._m_evictions = metrics.counter(f"{prefix}.evictions")
-        self._m_appends = metrics.counter(f"{prefix}.log_appends")
         self._m_compile = metrics.histogram(f"{prefix}.compile_s")
-        self._path = os.fspath(path) if path is not None else None
-        if self._path is not None:
-            self._load_log()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -107,11 +94,6 @@ class ContentCache:
     @property
     def maxsize(self) -> int:
         return self._maxsize
-
-    @property
-    def path(self) -> Optional[str]:
-        """The persistence log path, or ``None`` for in-memory only."""
-        return self._path
 
     @property
     def name(self) -> str:
@@ -134,32 +116,22 @@ class ContentCache:
         with self._lock:
             return key in self._data
 
-    def stats(self) -> Dict[str, Any]:
-        """Entries, hit/miss counters and (when persistent) the path
-        plus current on-disk size of the JSONL log in bytes."""
+    def stats(self) -> Dict[str, int]:
+        """Entry count and hit/miss counters."""
         with self._lock:
-            out: Dict[str, Any] = {
+            return {
                 "entries": len(self._data),
                 "hits": self._hits,
                 "misses": self._misses,
             }
-            if self._path is not None:
-                out["path"] = self._path
-                try:
-                    out["bytes"] = os.path.getsize(self._path)
-                except OSError:
-                    out["bytes"] = 0
-            return out
 
     def __repr__(self) -> str:
         stats = self.stats()
-        bits = (
-            f"entries={stats['entries']}, hits={stats['hits']}, "
-            f"misses={stats['misses']}, maxsize={self._maxsize}"
+        return (
+            f"{type(self).__name__}(entries={stats['entries']}, "
+            f"hits={stats['hits']}, misses={stats['misses']}, "
+            f"maxsize={self._maxsize})"
         )
-        if self._path is not None:
-            bits += f", path={self._path!r}"
-        return f"{type(self).__name__}({bits})"
 
     # ------------------------------------------------------------------ #
     # Core operations
@@ -188,8 +160,6 @@ class ContentCache:
                 evicted += 1
             if evicted:
                 self._m_evictions.add(evicted)
-            if self._path is not None:
-                self._append_log(key, value)
 
     def get_or_create(self, key: str, factory) -> Any:
         """The cached value for ``key``, computing it once via ``factory``.
@@ -217,101 +187,15 @@ class ContentCache:
             if key in self._data:
                 self._data.move_to_end(key)
                 return self._data[key]
-            self._data[key] = value
-            self._data.move_to_end(key)
-            evicted = 0
-            while len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
-                evicted += 1
-            if evicted:
-                self._m_evictions.add(evicted)
-            if self._path is not None:
-                self._append_log(key, value)
+            self.put(key, value)
         return value
 
-    def discard(self, key: str) -> None:
-        """Drop ``key`` if present (no persistence rewrite until compact)."""
-        with self._lock:
-            self._data.pop(key, None)
-
     def clear(self) -> None:
-        """Drop all entries, reset counters, truncate the log if any."""
+        """Drop all entries and reset the counters."""
         with self._lock:
             self._data.clear()
             self._hits = 0
             self._misses = 0
-            if self._path is not None and os.path.exists(self._path):
-                with open(self._path, "w", encoding="utf-8"):
-                    pass
-
-    def items(self) -> Iterator[Tuple[str, Any]]:
-        """A snapshot of the (key, value) pairs, LRU-first."""
-        with self._lock:
-            return iter(list(self._data.items()))
-
-    # ------------------------------------------------------------------ #
-    # Disk persistence
-    # ------------------------------------------------------------------ #
-
-    def _append_log(self, key: str, value: Any) -> None:
-        # No sort_keys: JSON objects round-trip dict insertion order, so
-        # replayed result dicts keep their column order.
-        line = json.dumps({"key": key, "value": value},
-                          separators=(",", ":"))
-        try:
-            with tracer.span("compilecache.append_log", region=self._name):
-                with open(self._path, "a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-            self._m_appends.add()
-        except OSError as exc:
-            raise DomainError(
-                f"cannot persist cache entry to {self._path}: {exc}"
-            ) from exc
-
-    def _load_log(self) -> None:
-        if not os.path.exists(self._path):
-            return
-        with tracer.span("compilecache.load_log", region=self._name,
-                         path=self._path) as span:
-            self._load_log_lines()
-            span.set(entries=len(self._data))
-
-    def _load_log_lines(self) -> None:
-        try:
-            with open(self._path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        # A torn final line from a crashed writer is not
-                        # worth failing startup over; later puts compact
-                        # it away.
-                        continue
-                    if isinstance(entry, dict) and "key" in entry:
-                        self._data[str(entry["key"])] = entry.get("value")
-                        self._data.move_to_end(str(entry["key"]))
-        except OSError as exc:
-            raise DomainError(
-                f"cannot read cache log {self._path}: {exc}"
-            ) from exc
-        while len(self._data) > self._maxsize:
-            self._data.popitem(last=False)
-
-    def compact(self) -> None:
-        """Rewrite the log to exactly one line per live entry."""
-        if self._path is None:
-            return
-        with self._lock:
-            lines = [
-                json.dumps({"key": key, "value": value},
-                           separators=(",", ":"))
-                for key, value in self._data.items()
-            ]
-            with open(self._path, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + ("\n" if lines else ""))
 
 
 # ---------------------------------------------------------------------- #
@@ -344,7 +228,7 @@ def region_names() -> Tuple[str, ...]:
         return tuple(sorted(_regions))
 
 
-def cache_stats() -> Dict[str, Dict[str, Any]]:
+def cache_stats() -> Dict[str, Dict[str, int]]:
     """Region name -> stats for every region in the process."""
     with _regions_lock:
         regions = dict(_regions)

@@ -11,19 +11,19 @@ fast:
   parameter planes, chunk layout and per-chunk seed derivation, lazy in
   the scenario count; :class:`PlanWindow` — the scenario ranges a run
   executes (:mod:`~repro.engine.plan`);
-* :func:`run_sweep` — grid expansion, caching, and execution on the
-  vectorised or serial backend, collected in memory;
+* :func:`run_sweep` — grid expansion and execution on the vectorised
+  or serial backend, collected in memory;
 * :func:`run_sweep_streaming` — the same execution core, chunk by chunk
   through pluggable sinks (:class:`JsonlSink`, :class:`CsvSink`,
   :class:`MemorySink`) in constant memory — the million-scenario path;
   each chunk reaches the sinks as one column :class:`Batch`;
 * ``shards=k`` on either — the engine's one parallel path: the run's
   window split across worker processes with strictly ordered merge and
-  worker-death retry (:mod:`~repro.engine.coordinator`); a killed run written to a
-  :class:`repro.store.TileSink` is finished by ``delta=True``;
-* :class:`ResultCache` — content-keyed memoisation of finished
-  scenarios, optionally disk-persistent (a region of the unified
-  :mod:`repro.compilecache`);
+  worker-death retry (:mod:`~repro.engine.coordinator`);
+* ``delta=True`` on :func:`run_sweep_streaming` with a
+  :class:`repro.store.TileSink` — the engine's one way not to
+  recompute: only the tiles whose inputs changed execute, and a killed
+  run is finished the same way;
 * :class:`ResultSet` — ordered results with table / CSV export;
 * :mod:`~repro.engine.pipelines` — the registry mapping pipeline names to
   the library's analysis entry points (thirteen pipelines: survival
@@ -51,7 +51,6 @@ Quickstart::
 """
 
 from . import kernels
-from .cache import ResultCache
 from .kernels import survival_sweep_columns
 from .pipelines import (
     Column,
@@ -69,7 +68,6 @@ from .stream import BACKENDS, run_sweep, run_sweep_streaming, stream_results
 
 __all__ = [
     "kernels",
-    "ResultCache",
     "BACKENDS",
     "run_sweep",
     "run_sweep_streaming",

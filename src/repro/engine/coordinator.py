@@ -47,7 +47,6 @@ import numpy as np
 
 from ..errors import DomainError
 from ..telemetry import metrics
-from .cache import ResultCache
 from .plan import PlanWindow
 from .results import Batch
 
@@ -64,14 +63,13 @@ _POLL_S = 0.1
 # --------------------------------------------------------------------- #
 
 
-def _shard_worker(window: PlanWindow, backend: str,
-                  cache_path: Optional[str], part_path: str,
+def _shard_worker(window: PlanWindow, backend: str, part_path: str,
                   out_queue) -> None:
     """Run ``window``, spilling each finished chunk to ``part_path``.
 
-    Each chunk's columns — the batch's ``(values, from_cache)`` arrays —
-    are pickled to ``part_path`` and *flushed* before a tiny ``("chunk",
-    start, n_rows)`` message is queued, so every announced chunk is
+    Each chunk's value columns — the batch's ``values`` — are pickled to
+    ``part_path`` and *flushed* before a tiny ``("chunk", start,
+    n_rows)`` message is queued, so every announced chunk is
     readable.  The disk spill is what lets every shard run at full speed
     while the parent drains shards in order: backpressure would
     serialise the sweep, and unbounded queues would buffer it in
@@ -85,11 +83,9 @@ def _shard_worker(window: PlanWindow, backend: str,
     try:
         from .stream import stream_results
 
-        cache = ResultCache(path=cache_path) if cache_path else None
         with open(part_path, "wb") as part:
-            for batch in stream_results(window, backend=backend,
-                                        cache=cache):
-                pickle.dump((batch.values, batch.from_cache), part,
+            for batch in stream_results(window, backend=backend):
+                pickle.dump(batch.values, part,
                             protocol=pickle.HIGHEST_PROTOCOL)
                 part.flush()
                 out_queue.put(("chunk", batch.start, len(batch)))
@@ -126,19 +122,12 @@ class _ShardState:
 # --------------------------------------------------------------------- #
 
 
-def check_sharding(shards: int, max_retries: int,
-                   cache: Optional[ResultCache]) -> None:
+def check_sharding(shards: int, max_retries: int) -> None:
     """Refuse a shard setup that cannot run, before anything starts."""
     if shards < 1:
         raise DomainError(f"shards must be positive, got {shards}")
     if max_retries < 0:
         raise DomainError("max_retries must be >= 0")
-    if cache is not None and cache.path is None:
-        raise DomainError(
-            "shard workers share the result cache through its disk "
-            "log, and this cache has none: pass ResultCache(path=...) "
-            "or run without a cache"
-        )
 
 
 class ShardedChunks:
@@ -147,17 +136,15 @@ class ShardedChunks:
     Iterating starts the workers and yields each chunk of ``window`` as
     an executed :class:`~repro.engine.results.Batch`, in scenario order,
     and stops them on exit, however the iteration ends.
-    :attr:`retries` counts respawned workers.  Workers open ``cache``
-    from its disk log, so a cache must have a ``path``.
+    :attr:`retries` counts respawned workers.
     """
 
     def __init__(self, window: PlanWindow, shards: int, backend: str,
-                 cache: Optional[ResultCache], max_retries: int):
-        check_sharding(shards, max_retries, cache)
+                 max_retries: int):
+        check_sharding(shards, max_retries)
         self._window = window
         self._shards = shards
         self._backend = backend
-        self._cache_path = cache.path if cache is not None else None
         self._max_retries = max_retries
         self.retries = 0
 
@@ -174,8 +161,8 @@ class ShardedChunks:
         remaining = state.window.take(state.done, state.window.n_scenarios)
         state.process = multiprocessing.Process(
             target=_shard_worker,
-            args=(remaining, self._backend, self._cache_path,
-                  state.part_path, state.queue),
+            args=(remaining, self._backend, state.part_path,
+                  state.queue),
             daemon=True,
             name=f"repro-shard-{state.index}",
         )
@@ -254,13 +241,11 @@ class ShardedChunks:
                     filled += n_rows
                     if filled == len(chunk):
                         batch = plan.batch(chunk)
-                        values, from_cache = zip(*pieces)
                         batch.values = {
                             name: np.concatenate([piece[name]
-                                                  for piece in values])
-                            for name in values[0]
+                                                  for piece in pieces])
+                            for name in pieces[0]
                         }
-                        batch.from_cache = np.concatenate(from_cache)
                         yield batch
                         pieces, filled = [], 0
                         chunk = next(chunks, None)

@@ -12,8 +12,8 @@ declarations plus the scalar oracle:
 ``content_params``
     Parameters whose values name content outside the spec (a case
     file).  :func:`~repro.engine.plan.lower` loads each value once
-    (:meth:`Pipeline.load`) into the plan's *snapshot*; cache keys and
-    fingerprints fold the snapshot's content hashes, and resolution
+    (:meth:`Pipeline.load`) into the plan's *snapshot*; content anchors
+    and fingerprints fold the snapshot's content hashes, and resolution
     against it hands the loaded content on in place of the name, so
     every row of a run sees one version of each file.
 ``config``
@@ -122,7 +122,7 @@ class Pipeline:
     defaults: Dict[str, Any] = {}
     required: Tuple[str, ...] = ()
     #: False for pipelines that draw fresh entropy when the scenario has
-    #: no seed; the executor skips the result cache for those runs.
+    #: no seed; a delta run refuses unseeded sweeps of them.
     deterministic: bool = True
     #: Parameters whose values name content outside the spec (a file
     #: path), loaded once per plan through :meth:`load`.
@@ -166,7 +166,7 @@ class Pipeline:
 
     def load(self, name: str, value: Any) -> Tuple[Any, str]:
         """What content parameter ``name`` = ``value`` refers to, loaded,
-        and its content hash (what cache keys and fingerprints fold)."""
+        and its content hash (what fingerprints fold)."""
         raise NotImplementedError
 
     def columns(self, config: Mapping[str, Any]) -> Tuple[Column, ...]:
@@ -444,8 +444,8 @@ class BbnQueryPipeline(TwoLegPosteriorPipeline):
     name = "bbn_query"
     defaults = {**TwoLegPosteriorPipeline.defaults, "n_samples": 4000}
     # Without a scenario seed the sampler draws fresh OS entropy, so a
-    # cached replay would freeze one random draw; the executor must not
-    # memoise those runs.
+    # reused tile would freeze one random draw; a delta run refuses
+    # such sweeps.
     deterministic = False
     config = ("n_samples",)
 
@@ -973,15 +973,15 @@ class SilFromGrowthPipeline(Pipeline):
             )
             intensity = fit.current_intensity()
             out = {
-                "alpha_hat": fit.alpha,
-                "beta0_hat": fit.beta0,
-                "beta1_hat": fit.beta1,
+                "alpha_hat": float(fit.alpha),
+                "beta0_hat": float(fit.beta0),
+                "beta1_hat": float(fit.beta1),
                 "log_lik": best_ll,
                 "current_intensity": intensity,
                 "current_mtbf": (
                     1.0 / intensity if intensity > 0 else float("inf")
                 ),
-                "shows_growth": fit.shows_growth,
+                "shows_growth": bool(fit.shows_growth),
             }
         out.update(self._sil_columns(intensity, merged))
         return out

@@ -11,8 +11,8 @@ The engine's execution stack is staged — **plan, compile, execute**:
 
    * the **snapshot** — each file a content parameter names (in the
      base, on an axis or in an explicit list) is loaded and
-     content-hashed once; cache keys, fingerprints, resolution, the
-     kernels and the scalar path all read it, so every row of a run
+     content-hashed once; content anchors, fingerprints, resolution,
+     the kernels and the scalar path all read it, so every row of a run
      sees one version of each file, in this process and in shard
      workers (the snapshot travels with the pickled plan);
    * **resolution** — every grid axis value is resolved once, in the
@@ -136,7 +136,7 @@ class ExecutionPlan:
       their resolved parameter planes: what ``Pipeline.run_batch`` runs;
     * :meth:`scenario` — one scenario (identical to
       ``SweepSpec.expand()`` output);
-    * :meth:`cache_key` — the result-cache key of one scenario, with the
+    * :meth:`cache_key` — the content anchor of one scenario, with the
       hash of every referenced file (loaded once, at lowering) folded in;
     * :attr:`param_names`, :attr:`column_sets`, :attr:`columns` — the
       rows' parameter names and the configuration groups' declared
@@ -415,25 +415,20 @@ class ExecutionPlan:
                      seeds, parts)
 
     def groups(
-        self, batch: Batch, rows: Optional[np.ndarray] = None
+        self, batch: Batch
     ) -> List[Tuple[Dict[str, Any], Tuple[Column, ...], np.ndarray,
                     Dict[str, np.ndarray], List[Optional[int]]]]:
-        """``batch``'s rows (all, or the positions ``rows``) by
-        configuration group: ``(config, columns, positions, resolved
-        parameter planes, seeds)``.  The planes gather the values
-        resolved at lowering; when rows fail a check joining parameters
-        (:meth:`Pipeline.invalid`), the first of them is resolved again
-        to raise the pipeline's own error."""
+        """``batch``'s rows by configuration group: ``(config, columns,
+        positions, resolved parameter planes, seeds)``.  The planes
+        gather the values resolved at lowering; when rows fail a check
+        joining parameters (:meth:`Pipeline.invalid`), the first of them
+        is resolved again to raise the pipeline's own error."""
         positions: Dict[int, List[int]] = {}
         for part in batch.parts:
             positions.setdefault(part.group, []).extend(batch.positions(part))
         out, first_bad = [], len(batch)
         for group, found in positions.items():
             found = np.sort(found)
-            if rows is not None:
-                found = found[np.isin(found, rows)]
-            if not len(found):
-                continue
             config, columns, resolved = self._groups[group]
             digits = self._digits(batch.start + found)
             planes = {
@@ -453,13 +448,14 @@ class ExecutionPlan:
         return out
 
     # ------------------------------------------------------------------ #
-    # Cache keys
+    # Content anchors (external state folded into fingerprints)
     # ------------------------------------------------------------------ #
 
     def cache_key(self, scenario: ScenarioSpec) -> str:
-        """The result-cache key of one scenario: its spec key, plus
-        ``:<content hash>`` of each file it references (the snapshot's),
-        so an edited file never replays stale results."""
+        """The content anchor of one scenario: its spec key, plus
+        ``:<content hash>`` of each file it references (the snapshot's).
+        Fingerprints fold these keys in, so an edited file changes every
+        fingerprint of the tiles that reference it."""
         key = scenario.key()
         for name in self._pipeline.content_params:
             value = scenario.params.get(name,
@@ -468,19 +464,10 @@ class ExecutionPlan:
                 key = f"{key}:{self._snapshot[(name, value)][1]}"
         return key
 
-    def cacheable(self, scenario: ScenarioSpec) -> bool:
-        """Whether rerunning ``scenario`` would reproduce its result:
-        always for deterministic pipelines, otherwise only with a seed."""
-        return self._pipeline.deterministic or scenario.seed is not None
-
-    # ------------------------------------------------------------------ #
-    # Content anchors (external state folded into fingerprints)
-    # ------------------------------------------------------------------ #
-
     def _grid_anchor_keys(
         self, blocks: Sequence[Tuple[int, int]]
     ) -> List[str]:
-        """Cache keys anchoring a grid region's referenced content.
+        """Content anchor keys of a grid region's referenced content.
 
         One key per combination the region takes of the
         content-referencing axes (row-major window order), so *every*
@@ -591,8 +578,8 @@ class ExecutionPlan:
         (or a single window over scenario indices for explicit/gridless
         plans).  The hash folds exactly what the region's rows depend
         on — pipeline, base parameters, the *windowed* axis
-        values, and content anchor keys: one cache key per distinct
-        combination the region takes of the content-referencing
+        values, and content anchor keys: one :meth:`cache_key` per
+        distinct combination the region takes of the content-referencing
         parameters (file-referencing pipelines declare them via
         ``content_params``), so every referenced file
         inside the region is hashed even when the file path itself is a
@@ -689,9 +676,9 @@ class PlanWindow:
     the whole plan, each shard worker runs one window of
     :meth:`split`, and a delta runs the window of its pending tiles.
     Indices stay **absolute** (the plan's), so a window's chunks decode
-    the plan's scenarios, seeds and cache keys for those indices, and
-    windows that concatenate to the plan reproduce its output stream
-    bit for bit.  Adjacent ranges merge; empty ones drop out.
+    the plan's scenarios, seeds and content anchors for those indices,
+    and windows that concatenate to the plan reproduce its output
+    stream bit for bit.  Adjacent ranges merge; empty ones drop out.
     """
 
     def __init__(self, plan: ExecutionPlan,

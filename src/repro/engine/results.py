@@ -62,11 +62,10 @@ class Batch:
 
     ``params`` maps each parameter to its plane of the scenarios' own
     values (``tolist()`` gives them back exactly), ``seeds`` is the
-    seed plane, ``parts`` the row layouts, ``values`` every value
+    seed plane, ``parts`` the row layouts and ``values`` every value
     column of the plan in its declared dtype (nodata where a row has
-    none) and ``from_cache`` flags the rows a result cache served.  The
-    rows are the plan's scenarios ``[start, stop)``; iterating a batch
-    gives them as :class:`ScenarioResult` s.
+    none).  The rows are the plan's scenarios ``[start, stop)``;
+    iterating a batch gives them as :class:`ScenarioResult` s.
     """
 
     def __init__(self, pipeline: str, start: int, stop: int,
@@ -75,18 +74,12 @@ class Batch:
         self.pipeline, self.start, self.stop = pipeline, start, stop
         self.params, self.seeds, self.parts = params, seeds, parts
         self.values: Dict[str, np.ndarray] = {}
-        self.from_cache = np.zeros(stop - start, dtype=bool)
-        self._specs: Optional[List[ScenarioSpec]] = None
 
     def __len__(self) -> int:
         return self.stop - self.start
 
     def __iter__(self) -> Iterator["ScenarioResult"]:
         return iter(self.results())
-
-    @property
-    def n_hits(self) -> int:
-        return int(self.from_cache.sum())
 
     def positions(self, part: Part) -> List[int]:
         return np.arange(len(self))[part.rows].tolist()
@@ -102,17 +95,13 @@ class Batch:
         return rows
 
     def specs(self) -> List[ScenarioSpec]:
-        """The rows' scenarios (built once: the cache split needs them
-        before the rows are)."""
-        if self._specs is None:
-            params = self._rows(lambda part: {
-                name: self.params[name][part.rows].tolist()
-                for name in part.params
-            })
-            self._specs = [ScenarioSpec(self.pipeline, bound, seed=seed)
-                           for bound, seed in zip(params,
-                                                  self.seeds.tolist())]
-        return self._specs
+        """The rows' scenarios."""
+        params = self._rows(lambda part: {
+            name: self.params[name][part.rows].tolist()
+            for name in part.params
+        })
+        return [ScenarioSpec(self.pipeline, bound, seed=seed)
+                for bound, seed in zip(params, self.seeds.tolist())]
 
     def results(self) -> List["ScenarioResult"]:
         """The rows as :class:`ScenarioResult` s."""
@@ -120,9 +109,8 @@ class Batch:
             column.name: column.to_rows(self.values[column.name][part.rows])
             for column in part.columns
         })
-        return [ScenarioResult(spec, row, from_cache=hit)
-                for spec, row, hit in zip(self.specs(), values,
-                                          self.from_cache.tolist())]
+        return [ScenarioResult(spec, row)
+                for spec, row in zip(self.specs(), values)]
 
 
 @dataclass(frozen=True)
@@ -131,7 +119,6 @@ class ScenarioResult:
 
     spec: ScenarioSpec
     values: Mapping[str, Any]
-    from_cache: bool = False
 
     def record(self) -> Dict[str, Any]:
         """Parameters and values merged into one flat row."""
@@ -235,11 +222,6 @@ class ResultSet:
             bits.append(f"pipeline={meta['pipeline']}")
         if "backend" in meta:
             bits.append(f"backend={meta['backend']}")
-        if "cache_hits" in meta:
-            bits.append(
-                f"cache {meta['cache_hits']} hit / "
-                f"{meta.get('cache_misses', 0)} miss"
-            )
         if "elapsed_s" in meta:
             bits.append(f"{meta['elapsed_s']:.3f}s")
         return ", ".join(bits)

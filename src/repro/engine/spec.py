@@ -4,8 +4,9 @@ A :class:`ScenarioSpec` names a registered pipeline (see
 :mod:`repro.engine.pipelines`) and binds its parameters; a
 :class:`SweepSpec` adds a parameter *grid* whose cartesian product expands
 into a family of scenarios.  Both round-trip through plain dicts, so specs
-can live in YAML/JSON files and travel across process boundaries, and both
-have a canonical :meth:`ScenarioSpec.key` used by the result cache.
+can live in YAML/JSON files and travel across process boundaries, and each
+scenario has a canonical :meth:`ScenarioSpec.key`, the content anchor that
+tile-store fingerprints fold in.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class ScenarioSpec:
             object.__setattr__(self, "seed", int(self.seed))
 
     def key(self) -> str:
-        """Canonical cache key for this scenario."""
+        """Canonical content key for this scenario."""
         return canonical_key(self.pipeline, self.params, self.seed)
 
     def to_dict(self) -> Dict[str, Any]:

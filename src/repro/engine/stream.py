@@ -8,8 +8,7 @@ it, and :func:`run_sweep` is that loop with a
 :class:`~repro.engine.plan.ExecutionPlan` and walks a
 :class:`~repro.engine.plan.PlanWindow` of it **chunk by chunk**: each
 chunk becomes a :class:`~repro.engine.results.Batch` — parameter planes
-gathered from the axes plus directly-addressed child seeds — whose
-rows are satisfied from the result cache where possible, run one
+gathered from the axes plus directly-addressed child seeds — run one
 configuration group at a time into the declared value columns, pushed
 through the registered :mod:`~repro.engine.sinks`, and dropped.  Peak
 memory is set by the chunk size — not the scenario count — so
@@ -38,9 +37,8 @@ import numpy as np
 from ..compilecache import compile_seconds
 from ..errors import DomainError
 from ..telemetry import metrics, tracer
-from .cache import ResultCache
 from .plan import ExecutionPlan, PlanWindow, lower
-from .results import Batch, ResultSet, rows_of
+from .results import Batch, ResultSet
 from .sinks import MemorySink, ResultSink
 from .spec import SweepSpec
 
@@ -50,8 +48,6 @@ __all__ = ["run_sweep", "run_sweep_streaming", "stream_results",
 # Run-level counters; see README's telemetry reference table.
 _M_ROWS = metrics.counter("engine.rows")
 _M_CHUNKS = metrics.counter("engine.chunks")
-_M_CACHE_HITS = metrics.counter("engine.cache_hits")
-_M_CACHE_MISSES = metrics.counter("engine.cache_misses")
 
 BACKENDS = ("auto", "vectorized", "serial")
 
@@ -92,48 +88,21 @@ def _resolve_backend(
     return window, backend, backend
 
 
-def _execute(plan: ExecutionPlan, batch: Batch, scalar: bool,
-             cache: Optional[ResultCache]) -> None:
-    """Fill ``batch``'s value columns: cache hits where ``cache`` has
-    them, the other rows one configuration group at a time."""
+def _execute(plan: ExecutionPlan, batch: Batch, scalar: bool) -> None:
+    """Fill ``batch``'s value columns, one configuration group at a
+    time."""
     batch.values = {
         column.name: np.full(len(batch), 0 if column.nodata is None
                              else column.nodata, dtype=column.dtype)
         for column in plan.columns
     }
-    keys: Dict[int, str] = {}
-    if cache is not None:
-        keys = {position: plan.cache_key(spec)
-                for position, spec in enumerate(batch.specs())
-                if plan.cacheable(spec)}
-        hits = {position: cache.get(key) for position, key in keys.items()}
-        for part in batch.parts:
-            found = [position for position in batch.positions(part)
-                     if hits.get(position) is not None]
-            for column in part.columns:
-                batch.values[column.name][found] = column.to_array(
-                    [hits[position][column.name] for position in found]
-                )
-            batch.from_cache[found] = True
-    pending = np.flatnonzero(~batch.from_cache) if keys else None
-    for config, columns, rows, planes, seeds in plan.groups(batch, pending):
+    for config, columns, rows, planes, seeds in plan.groups(batch):
         values = plan.pipeline.run_batch(config, planes, seeds, scalar)
         for column in columns:
             batch.values[column.name][rows] = values[column.name]
-        if keys:
-            fresh = rows_of({column.name: column.to_rows(
-                batch.values[column.name][rows]
-            ) for column in columns}, len(rows))
-            for position, row in zip(rows.tolist(), fresh):
-                if position in keys:
-                    cache.put(keys[position], row)
 
 
-def stream_results(
-    plan,
-    backend: str = "auto",
-    cache: Optional[ResultCache] = None,
-):
+def stream_results(plan, backend: str = "auto"):
     """Yield each chunk's executed :class:`~repro.engine.results.Batch`,
     lazily (iterating a batch gives its ``ScenarioResult`` rows).
 
@@ -155,14 +124,14 @@ def stream_results(
                          backend=effective) as span:
             try:
                 batch = plan.batch(chunk)
-                _execute(plan, batch, effective == "serial", cache)
+                _execute(plan, batch, effective == "serial")
             except Exception as exc:
                 raise DomainError(
                     f"pipeline {plan.pipeline_name!r}, scenarios "
                     f"[{chunk.start}, {chunk.stop}): "
                     f"{type(exc).__name__}: {exc}"
                 ) from exc
-            span.set(n=len(batch), cache_hits=batch.n_hits)
+            span.set(n=len(batch))
         yield batch
 
 
@@ -170,7 +139,6 @@ def run_sweep_streaming(
     sweep,
     backend: str = "auto",
     chunk_size: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     sinks: Sequence[ResultSink] = (),
     progress: Optional[ProgressFn] = None,
     shards: Optional[int] = None,
@@ -193,8 +161,7 @@ def run_sweep_streaming(
     (:mod:`~repro.engine.coordinator`): each runs a near-equal share of
     the scenarios on ``backend``, and their chunks reach the sinks here,
     whole and in order — bit-identical output.  ``max_retries`` bounds
-    worker-death respawns per shard.  A result cache is shared with the
-    workers through its disk log, so it needs a ``path``.
+    worker-death respawns per shard.
 
     ``delta=True`` hands the sweep to
     :func:`repro.store.delta.run_sweep_delta`: ``sinks`` must be
@@ -205,10 +172,10 @@ def run_sweep_streaming(
     the finished store is bit-identical to a full run.
 
     Returns the run's meta summary: pipeline, backend, the plan's
-    scenario/chunk counts, cache hit/miss totals, rows written, elapsed
-    seconds, and a ``stage_timings`` breakdown: seconds spent lowering
-    the plan (``plan_s``), inside compile-cache factories
-    (``compile_s``, the process-wide
+    scenario/chunk counts, rows written, elapsed seconds, and a
+    ``stage_timings`` breakdown: seconds spent lowering the plan
+    (``plan_s``), inside compile-cache factories (``compile_s``, the
+    process-wide
     :func:`repro.compilecache.compile_seconds` delta — not visible
     across shard workers), pulling executed chunks (``execute_s``) and
     writing sinks (``sink_s``).  Sharded runs add ``shards`` and
@@ -224,7 +191,6 @@ def run_sweep_streaming(
             sweep,
             backend=backend,
             chunk_size=chunk_size,
-            cache=cache,
             sinks=sinks,
             progress=progress,
             shards=shards,
@@ -236,11 +202,11 @@ def run_sweep_streaming(
     plan = window.plan
     sinks = tuple(sinks)
     if shards is None:
-        chunks = stream_results(window, effective, cache)
+        chunks = stream_results(window, effective)
     else:
         from .coordinator import ShardedChunks
 
-        chunks = ShardedChunks(window, shards, effective, cache, max_retries)
+        chunks = ShardedChunks(window, shards, effective, max_retries)
         label = f"shards({shards}):{effective}"
     plan_elapsed = time.perf_counter() - started
     meta: Dict[str, Any] = {
@@ -250,7 +216,7 @@ def run_sweep_streaming(
         "n_chunks": plan.n_chunks,
         "chunk_size": plan.chunk_size,
     }
-    hits = rows = chunks_done = 0
+    rows = chunks_done = 0
     execute_elapsed = sink_elapsed = 0.0
     opened: List[ResultSink] = []
     target = window if isinstance(sweep, PlanWindow) else plan
@@ -278,7 +244,6 @@ def run_sweep_streaming(
                     sink.write(batch)
                 sink_elapsed += time.perf_counter() - stage_start
                 rows += len(batch)
-                hits += batch.n_hits
                 chunks_done += 1
                 if progress is not None:
                     progress(chunks_done, window.n_chunks, rows,
@@ -291,14 +256,10 @@ def run_sweep_streaming(
             sink_elapsed += time.perf_counter() - stage_start
         _M_ROWS.add(rows)
         _M_CHUNKS.add(chunks_done)
-        _M_CACHE_HITS.add(hits)
-        _M_CACHE_MISSES.add(rows - hits)
-        root_span.set(rows=rows, cache_hits=hits, cache_misses=rows - hits)
+        root_span.set(rows=rows)
     if shards is not None:
         meta["shards"] = shards
         meta["retries"] = chunks.retries
-    meta["cache_hits"] = hits
-    meta["cache_misses"] = rows - hits
     meta["rows"] = rows
     meta["elapsed_s"] = time.perf_counter() - started
     meta["stage_timings"] = {
@@ -314,18 +275,17 @@ def run_sweep(
     sweep,
     backend: str = "auto",
     chunk_size: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     shards: Optional[int] = None,
 ) -> ResultSet:
     """Expand and execute a sweep; results keep the expansion order.
 
     ``sweep`` is a :class:`~repro.engine.spec.SweepSpec` or an explicit
     sequence of :class:`~repro.engine.spec.ScenarioSpec` (which must
-    share one pipeline).  Scenarios whose key is already in ``cache``
-    are not re-executed; fresh results are memoised.  ``shards=k`` runs
-    the sweep in ``k`` worker processes (the cache then needs a
-    ``path``).  The rows are collected in memory — for sweeps too large
-    for that, use :func:`run_sweep_streaming` with a file sink.
+    share one pipeline).  ``shards=k`` runs the sweep in ``k`` worker
+    processes.  The rows are collected in memory — for sweeps too large
+    for that, use :func:`run_sweep_streaming` with a file sink, and to
+    rerun a sweep without recomputing it, a
+    :class:`~repro.store.TileSink` with ``delta=True``.
     """
     started = time.perf_counter()
     if not isinstance(sweep, SweepSpec):
@@ -339,6 +299,6 @@ def run_sweep(
             })
     sink = MemorySink()
     meta = run_sweep_streaming(sweep, backend=backend, chunk_size=chunk_size,
-                               cache=cache, sinks=(sink,), shards=shards)
+                               sinks=(sink,), shards=shards)
     meta["elapsed_s"] = time.perf_counter() - started
     return sink.result_set(meta)

@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import DomainError
 from ..telemetry import tracer
-from ..engine.cache import ResultCache
 from ..engine.coordinator import check_sharding
 from ..engine.sinks import ResultSink
 from ..engine.stream import ProgressFn, _resolve_backend, run_sweep_streaming
@@ -204,7 +203,6 @@ def run_sweep_delta(
     sweep,
     backend: str = "auto",
     chunk_size: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     sinks: Sequence[ResultSink] = (),
     progress: Optional[ProgressFn] = None,
     shards: Optional[int] = None,
@@ -242,7 +240,7 @@ def run_sweep_delta(
     started = time.perf_counter()
     plan = _resolve_backend(sweep, backend, chunk_size)[0].plan
     if shards is not None:
-        check_sharding(shards, max_retries, cache)
+        check_sharding(shards, max_retries)
     if not plan.pipeline.deterministic and plan.master_seed is None:
         raise DomainError(
             f"pipeline {plan.pipeline_name!r} is stochastic and the "
@@ -263,7 +261,6 @@ def run_sweep_delta(
         meta = run_sweep_streaming(
             plan.window([(tile.start, tile.stop) for tile in pending]),
             backend=backend,
-            cache=cache,
             sinks=(sink,),
             progress=progress,
             shards=shards,

@@ -197,7 +197,7 @@ def read_manifest(store_path: str) -> Dict[str, Any]:
 
 def write_manifest(store_path: str, manifest: Dict[str, Any]) -> None:
     """Dump the manifest deterministically (sorted keys, no clock)."""
-    blob = json.dumps(manifest, sort_keys=True, indent=1)
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
     write_atomic(manifest_path(store_path), (blob + "\n").encode("utf-8"),
                  durable=True)
 

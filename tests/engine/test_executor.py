@@ -1,4 +1,6 @@
-"""Tests for sweep execution, caching behaviour and result sets."""
+"""Tests for sweep execution, stochastic pipelines and result sets."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from repro.engine import (
     BACKENDS,
     Column,
     Pipeline,
-    ResultCache,
     ScenarioSpec,
     SweepSpec,
     available_pipelines,
@@ -51,11 +52,6 @@ register(_UnbatchedPipeline())
 
 UNBATCHED_SWEEP = SweepSpec(
     pipeline="executor_test_unbatched", grid={"x": [0.0, 1.0]}
-)
-
-CASE_FILE_FOR_CACHE = str(
-    __import__("pathlib").Path(__file__).resolve().parents[2]
-    / "examples" / "case_confidence.yaml"
 )
 
 
@@ -122,51 +118,27 @@ class TestBackendsAgree:
             with pytest.raises(DomainError, match="backend must be one of"):
                 run_sweep(SURVIVAL_SWEEP, backend=backend)
 
+    def test_result_cache_is_gone(self, capsys, tmp_path):
+        # The tile store's delta runs are the one way not to recompute.
+        import repro
+        import repro.engine
+        from repro.cli import main
+        from repro.compilecache import ContentCache
 
-class TestCachingBehaviour:
-    def test_second_run_is_all_hits_and_identical(self):
-        cache = ResultCache()
-        first = run_sweep(SURVIVAL_SWEEP, cache=cache)
-        assert first.meta["cache_hits"] == 0
-        assert first.meta["cache_misses"] == 12
-        second = run_sweep(SURVIVAL_SWEEP, cache=cache)
-        assert second.meta["cache_hits"] == 12
-        assert second.meta["cache_misses"] == 0
-        assert _values_list(second) == _values_list(first)
-        assert all(r.from_cache for r in second)
-
-    def test_partial_overlap_only_runs_new_scenarios(self):
-        cache = ResultCache()
-        run_sweep(SURVIVAL_SWEEP, cache=cache)
-        wider = SweepSpec(
-            pipeline=SURVIVAL_SWEEP.pipeline,
-            base=dict(SURVIVAL_SWEEP.base),
-            grid={"sigma": [0.7, 0.9, 1.1], "demands": [0, 10, 100, 1000, 10000]},
-        )
-        result = run_sweep(wider, cache=cache)
-        assert result.meta["cache_hits"] == 12
-        assert result.meta["cache_misses"] == 3
-
-    def test_cached_values_match_fresh_run(self):
-        cache = ResultCache()
-        fresh = run_sweep(SURVIVAL_SWEEP, backend="serial")
-        run_sweep(SURVIVAL_SWEEP, backend="vectorized", cache=cache)
-        cached = run_sweep(SURVIVAL_SWEEP, backend="serial", cache=cache)
-        assert _values_list(cached) == pytest.approx(
-            _values_list(fresh)
-        ) or _values_list(cached) == _values_list(fresh)
-
-    def test_single_scenario_sweep_uses_cache(self):
-        cache = ResultCache()
-        spec = ScenarioSpec(
-            "survival_update",
-            {"mode": 0.003, "sigma": 0.9, "points_per_decade": 60},
-        )
-        first = run_sweep([spec], cache=cache)[0]
-        second = run_sweep([spec], cache=cache)[0]
-        assert not first.from_cache
-        assert second.from_cache
-        assert dict(second.values) == dict(first.values)
+        assert not hasattr(repro, "ResultCache")
+        assert not hasattr(repro.engine, "ResultCache")
+        with pytest.raises(TypeError):
+            run_sweep(SURVIVAL_SWEEP, cache=None)
+        with pytest.raises(TypeError):
+            ContentCache(path="x")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SURVIVAL_SWEEP.to_dict()))
+        for argv in (["sweep", "--spec", str(spec), "--cache", "x"],
+                     ["cache", "stats"]):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
+        capsys.readouterr()
 
 
 class TestStochasticPipelines:
@@ -184,24 +156,6 @@ class TestStochasticPipelines:
         b = _values_list(run_sweep(
             SweepSpec(pipeline="panel_run", grid=grid, seed=2)))
         assert a != b
-
-    def test_unseeded_stochastic_scenarios_bypass_the_cache(self):
-        base = {
-            "prior": 0.6, "dependence": 0.3, "n_samples": 200,
-            "leg1_validity": 0.9, "leg1_sensitivity": 0.95,
-            "leg1_specificity": 0.9, "leg2_validity": 0.88,
-            "leg2_sensitivity": 0.9, "leg2_specificity": 0.85,
-        }
-        cache = ResultCache()
-        spec = ScenarioSpec("bbn_query", base)  # no seed: fresh entropy
-        first = run_sweep([spec], cache=cache)[0]
-        second = run_sweep([spec], cache=cache)[0]
-        assert not first.from_cache and not second.from_cache
-        assert len(cache) == 0
-        # With a seed the run is reproducible, so caching is back on.
-        seeded = ScenarioSpec("bbn_query", base, seed=3)
-        run_sweep([seeded], cache=cache)
-        assert run_sweep([seeded], cache=cache)[0].from_cache
 
     def test_bbn_query_reproducible(self):
         base = {
@@ -357,48 +311,8 @@ class TestResultSet:
         assert len(lines) == 13
         assert lines[0].startswith("mode,")
 
-    def test_summary_mentions_cache_and_backend(self):
-        cache = ResultCache()
-        result = run_sweep(SURVIVAL_SWEEP, cache=cache)
-        summary = result.summary()
+    def test_summary_mentions_backend(self):
+        summary = run_sweep(SURVIVAL_SWEEP).summary()
         assert "12 scenarios" in summary
-        assert "cache" in summary
         assert "survival_update" in summary
-
-
-class TestCaseFileCacheInvalidation:
-    def test_edited_case_file_invalidates_cached_results(self, tmp_path):
-        yaml = pytest.importorskip("yaml")
-        from repro.arguments import load_case
-
-        source = load_case(CASE_FILE_FOR_CACHE).to_dict()
-        path = tmp_path / "case.yaml"
-        path.write_text(yaml.safe_dump(source))
-        sweep = SweepSpec(
-            pipeline="case_confidence",
-            base={"case_file": str(path)},
-            grid={"S1.dependence": [0.0, 0.5]},
-        )
-        cache = ResultCache()
-        first = run_sweep(sweep, cache=cache)
-        assert first.meta["cache_misses"] == 2
-        # Same file, same cache: pure hits.
-        again = run_sweep(sweep, cache=cache)
-        assert again.meta["cache_hits"] == 2
-
-        # Edit the case on disk: the path-named spec is unchanged, but
-        # cached results must NOT be replayed.
-        edited = dict(source)
-        edited["quantify"] = {
-            **edited["quantify"],
-            "Sn3": {"model": "fixed", "confidence": 0.5},
-        }
-        path.write_text(yaml.safe_dump(edited))
-        import os
-        os.utime(path, (os.path.getmtime(path) + 2,) * 2)
-        fresh = run_sweep(sweep, cache=cache)
-        assert fresh.meta["cache_misses"] == 2
-        assert (
-            fresh[0].values["top_confidence"]
-            != first[0].values["top_confidence"]
-        )
+        assert "backend=auto->vectorized" in summary

@@ -32,7 +32,6 @@ from repro.engine import (
     MemorySink,
     Pipeline,
     PlanWindow,
-    ResultCache,
     SweepSpec,
     lower,
     register,
@@ -553,28 +552,6 @@ class TestShardedBitIdentity:
         run_sweep_streaming(SURVIVAL_SWEEP, sinks=(sink,), chunk_size=5,
                             shards=2)
         assert sink.writes == [5, 5, 2]
-
-
-class TestShardedCache:
-    def test_memory_only_cache_is_refused(self):
-        with pytest.raises(DomainError, match=r"ResultCache\(path=\.\.\.\)"):
-            run_sweep_streaming(SURVIVAL_SWEEP, shards=2,
-                                cache=ResultCache(), sinks=(MemorySink(),))
-        with pytest.raises(DomainError, match="ResultCache"):
-            run_sweep(SURVIVAL_SWEEP, shards=2, cache=ResultCache())
-
-    def test_disk_cache_serves_hits_on_a_second_sharded_run(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        first = run_sweep(SURVIVAL_SWEEP, shards=2,
-                          cache=ResultCache(path=path))
-        assert (first.meta["cache_hits"], first.meta["cache_misses"]) == (
-            0, 12)
-        second = run_sweep(SURVIVAL_SWEEP, shards=2,
-                           cache=ResultCache(path=path))
-        assert (second.meta["cache_hits"], second.meta["cache_misses"]) == (
-            12, 0)
-        assert all(r.from_cache for r in second)
-        assert [r.values for r in second] == [r.values for r in first]
 
 
 class TestWorkerDeath:

@@ -16,7 +16,8 @@ parameters, runs at ``chunk_size`` 1 and at the default, and
 Sweeps whose configuration groups declare different columns (growth
 models, case files with different goals) stream to JSONL and CSV
 unchanged, and a tile store refuses them before touching its
-directory.
+directory.  The scalar ``Pipeline.run`` behind all of them returns
+plain Python values.
 """
 
 import json
@@ -33,6 +34,7 @@ from repro.engine import (
     JsonlSink,
     ScenarioSpec,
     SweepSpec,
+    get_pipeline,
     run_sweep,
     run_sweep_streaming,
 )
@@ -262,6 +264,21 @@ def test_every_sink_gives_back_the_collected_rows(tmp_path, name,
         [{**{axis: r.spec.params[axis] for axis in axes}, **r.values}
          for r in collected],
     )
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_SWEEPS))
+def test_scalar_run_returns_python_values(name):
+    # The scalar oracle hands callers plain Python values, never NumPy
+    # scalars, for every pipeline and configuration.
+    sweep = PARITY_SWEEPS[name]
+    scenarios = sweep.expand() if isinstance(sweep, SweepSpec) else sweep
+    for scenario in scenarios:
+        values = get_pipeline(scenario.pipeline).run(scenario.params,
+                                                     seed=scenario.seed)
+        wrong = {column: type(value).__name__
+                 for column, value in values.items()
+                 if type(value) not in (float, int, bool, str, type(None))}
+        assert not wrong, (scenario.params, wrong)
 
 
 @pytest.mark.parametrize("chunk_size", [1, 2, None],

@@ -437,90 +437,6 @@ class TestStreamingSweepCommand:
         ]) == 2
         assert "one sweep" in capsys.readouterr().err
 
-    def test_stream_with_disk_cache_serves_hits_on_rerun(
-        self, capsys, tmp_path
-    ):
-        cache_path = str(tmp_path / "cache.jsonl")
-        args = [
-            "sweep", "--spec", self._spec_path(tmp_path),
-            "--out", str(tmp_path / "rows.jsonl"),
-            "--cache", cache_path,
-        ]
-        assert main(args) == 0
-        assert "cache 0 hit / 3 miss" in capsys.readouterr().out
-        assert main(args) == 0
-        assert "cache 3 hit / 0 miss" in capsys.readouterr().out
-
-    def test_collected_sweep_also_takes_disk_cache(self, capsys, tmp_path):
-        cache_path = str(tmp_path / "cache.jsonl")
-        args = [
-            "sweep", "--spec", self._spec_path(tmp_path),
-            "--cache", cache_path,
-        ]
-        assert main(args) == 0
-        assert "cache 0 hit / 3 miss" in capsys.readouterr().out
-        assert main(args) == 0
-        assert "cache 3 hit / 0 miss" in capsys.readouterr().out
-
-
-class TestCacheCommand:
-    def _populate(self, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(SWEEP_SPEC))
-        cache_path = tmp_path / "cache.jsonl"
-        assert main([
-            "sweep", "--spec", str(spec),
-            "--out", str(tmp_path / "rows.jsonl"),
-            "--cache", str(cache_path),
-        ]) == 0
-        return str(cache_path)
-
-    def test_stats_reports_disk_and_regions(self, capsys, tmp_path):
-        cache_path = self._populate(tmp_path)
-        capsys.readouterr()
-        assert main(["cache", "stats", "--path", cache_path]) == 0
-        out = capsys.readouterr().out
-        assert "3 entries" in out
-        assert "compile-cache regions" in out
-
-    def test_stats_without_path_shows_regions_only(self, capsys):
-        assert main(["cache", "stats"]) == 0
-        out = capsys.readouterr().out
-        assert "compile-cache regions" in out
-        assert "disk result cache" not in out
-
-    def test_clear_truncates_the_log(self, capsys, tmp_path):
-        cache_path = self._populate(tmp_path)
-        capsys.readouterr()
-        assert main(["cache", "clear", "--path", cache_path]) == 0
-        assert "cleared 3" in capsys.readouterr().out
-        with open(cache_path) as handle:
-            assert handle.read() == ""
-
-    def test_entry_counts_deduplicate_rewritten_keys(self, capsys, tmp_path):
-        # The log is append-only, so a re-put key appears twice; counts
-        # must report distinct keys, not lines (and must not be capped
-        # by any in-memory replay limit).
-        path = tmp_path / "cache.jsonl"
-        path.write_text(
-            '{"key":"a","value":{"v":1}}\n'
-            '{"key":"a","value":{"v":2}}\n'
-            '{"key":"b","value":{"v":3}}\n'
-            "not json\n"
-        )
-        assert main(["cache", "stats", "--path", str(path)]) == 0
-        assert "2 entries" in capsys.readouterr().out
-        assert main(["cache", "clear", "--path", str(path)]) == 0
-        assert "cleared 2" in capsys.readouterr().out
-
-    def test_stats_missing_path_reported(self, capsys):
-        assert main(["cache", "stats", "--path", "/nonexistent.jsonl"]) == 2
-        assert "no cache log" in capsys.readouterr().err
-
-    def test_clear_missing_path_reported(self, capsys):
-        assert main(["cache", "clear", "--path", "/nonexistent.jsonl"]) == 2
-        assert "no cache log" in capsys.readouterr().err
-
 
 class TestTelemetryFlags:
     def _spec_path(self, tmp_path, data=SWEEP_SPEC):
@@ -574,6 +490,20 @@ class TestTelemetryFlags:
         assert "metrics:" in out
         assert "engine.rows" in out
         assert "sink.bytes" in out
+
+    def test_metrics_report_compile_cache_counters(self, capsys, tmp_path):
+        spec = self._spec_path(tmp_path, {
+            "pipeline": "two_leg_posterior",
+            "base": {
+                "prior": 0.6, "dependence": 0.3,
+                "leg1_validity": 0.9, "leg1_sensitivity": 0.95,
+                "leg1_specificity": 0.9, "leg2_validity": 0.88,
+                "leg2_sensitivity": 0.9, "leg2_specificity": 0.85,
+            },
+            "grid": {"leg1_validity": [0.9, 0.9, 0.92]},
+        })
+        assert main(["sweep", "--spec", spec, "--metrics"]) == 0
+        assert "cache.bbn." in capsys.readouterr().out
 
     def test_stream_report_includes_stage_timings(self, capsys, tmp_path):
         assert main([
@@ -639,59 +569,6 @@ class TestTelemetryCommand:
             "telemetry", "summary", trace_path, "--top", "-1",
         ]) == 2
         assert "--top" in capsys.readouterr().err
-
-
-class TestCacheClearRegions:
-    def test_clear_regions_reports_region_names(self, capsys, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "pipeline": "case_confidence",
-            "base": {"case_file": "examples/case_confidence.yaml"},
-            "grid": {"A1.p_true": [0.6, 0.7]},
-        }))
-        assert main(["sweep", "--spec", str(spec)]) == 0
-        capsys.readouterr()
-        assert main(["cache", "clear", "--regions"]) == 0
-        out = capsys.readouterr().out
-        assert "cleared in-process compile-cache region" in out
-        assert "arguments.case" in out
-
-    def test_clear_path_and_regions_together(self, capsys, tmp_path):
-        log = tmp_path / "cache.jsonl"
-        log.write_text('{"key":"a","value":{"v":1}}\n')
-        assert main([
-            "cache", "clear", "--path", str(log), "--regions",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "cleared 1 cached result(s)" in out
-        assert "compile-cache region" in out
-        assert log.read_text() == ""
-
-    def test_clear_without_target_rejected(self, capsys):
-        assert main(["cache", "clear"]) == 2
-        assert "--path" in capsys.readouterr().err
-
-    def test_stats_show_hit_rate(self, capsys, tmp_path):
-        from repro.bbn import clear_compile_cache
-
-        clear_compile_cache()
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "pipeline": "two_leg_posterior",
-            "base": {
-                "prior": 0.6, "dependence": 0.3,
-                "leg1_validity": 0.9, "leg1_sensitivity": 0.95,
-                "leg1_specificity": 0.9, "leg2_validity": 0.88,
-                "leg2_sensitivity": 0.9, "leg2_specificity": 0.85,
-            },
-            "grid": {"leg1_validity": [0.9, 0.9, 0.92]},
-        }))
-        assert main(["sweep", "--spec", str(spec)]) == 0
-        capsys.readouterr()
-        assert main(["cache", "stats"]) == 0
-        out = capsys.readouterr().out
-        assert "hit rate" in out
-        assert "%" in out
 
 
 class TestStoreCommand:
@@ -814,15 +691,3 @@ class TestStoreCommand:
     def test_store_stats_on_non_store_reports_error(self, capsys, tmp_path):
         assert main(["store", "stats", str(tmp_path)]) == 2
         assert "manifest" in capsys.readouterr().err
-
-    def test_cache_stats_disk_bytes_column(self, capsys, tmp_path):
-        store = self._materialise(tmp_path)
-        capsys.readouterr()
-        assert main([
-            "store", "query", store, "--fix", "demands=100",
-        ]) == 0
-        capsys.readouterr()
-        assert main(["cache", "stats"]) == 0
-        out = capsys.readouterr().out
-        assert "disk bytes" in out
-        assert "store.tiles" in out

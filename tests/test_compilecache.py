@@ -1,6 +1,5 @@
 """Tests for the unified content-hash cache (:mod:`repro.compilecache`)."""
 
-import json
 import threading
 
 import pytest
@@ -81,69 +80,6 @@ class TestContentCacheCore:
             thread.join()
         assert not errors
         assert len(cache) <= 64
-
-
-class TestDiskPersistence:
-    def test_round_trip_across_instances(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        first = ContentCache(path=path)
-        first.put("k1", {"x": 1.5})
-        first.put("k2", {"y": [1, 2, 3]})
-
-        second = ContentCache(path=path)
-        assert second.get("k1") == {"x": 1.5}
-        assert second.get("k2") == {"y": [1, 2, 3]}
-        assert len(second) == 2
-
-    def test_later_lines_win(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ContentCache(path=path)
-        cache.put("k", "old")
-        cache.put("k", "new")
-        replay = ContentCache(path=path)
-        assert replay.get("k") == "new"
-        assert len(replay) == 1
-
-    def test_values_preserve_insertion_order(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        ContentCache(path=path).put("k", {"z_first": 1, "a_second": 2})
-        replay = ContentCache(path=path)
-        assert list(replay.get("k")) == ["z_first", "a_second"]
-
-    def test_torn_trailing_line_is_skipped(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ContentCache(path=path)
-        cache.put("good", 1)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "torn", "val')  # crashed writer
-        replay = ContentCache(path=path)
-        assert replay.get("good") == 1
-        assert "torn" not in replay
-
-    def test_clear_truncates_log(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ContentCache(path=path)
-        cache.put("k", 1)
-        cache.clear()
-        assert path.read_text() == ""
-        assert len(ContentCache(path=path)) == 0
-
-    def test_compact_rewrites_one_line_per_entry(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ContentCache(path=path)
-        for _ in range(5):
-            cache.put("k", {"v": 1})
-        assert len(path.read_text().strip().splitlines()) == 5
-        cache.compact()
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["key"] == "k"
-
-    def test_stats_mention_path(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ContentCache(path=path)
-        assert cache.stats()["path"] == str(path)
-        assert "path" not in ContentCache().stats()
 
 
 class TestRegions:

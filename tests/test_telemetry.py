@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import JsonlSink, SweepSpec, run_sweep, run_sweep_streaming
-from repro.engine.cache import ResultCache
 from repro.errors import DomainError
 from repro.telemetry import (
     MetricsRegistry,
@@ -398,12 +397,9 @@ class TestEngineIntegration:
 
     def test_traced_streaming_sweep_with_cache_and_sink(self, tmp_path):
         spec = _sweep_spec()
-        cache = ResultCache()
         out = tmp_path / "rows.jsonl"
         with capture_trace() as trace:
-            meta = run_sweep_streaming(
-                spec, sinks=(JsonlSink(str(out)),), cache=cache
-            )
+            meta = run_sweep_streaming(spec, sinks=(JsonlSink(str(out)),))
         assert meta["rows"] == 3
         names = {span.name for span in trace.finished()}
         assert "stream.chunk" in names
@@ -413,22 +409,15 @@ class TestEngineIntegration:
 
     def test_metrics_match_meta_exactly(self, tmp_path):
         spec = _sweep_spec(demands=(0, 5, 10, 50, 100))
-        cache = ResultCache()
-        run_sweep_streaming(
-            spec, sinks=(JsonlSink(str(tmp_path / "warm.jsonl")),),
-            cache=cache,
-        )  # warm the cache so the second run has hits
         enable_metrics(reset=True)
         meta = run_sweep_streaming(
             spec, sinks=(JsonlSink(str(tmp_path / "rows.jsonl")),),
-            cache=cache, chunk_size=2,
+            chunk_size=2,
         )
         disable_metrics()
         snap = metrics.snapshot()
         assert snap["engine.rows"]["value"] == meta["rows"]
         assert snap["engine.chunks"]["value"] == meta["n_chunks"]
-        assert snap["engine.cache_hits"]["value"] == meta["cache_hits"]
-        assert snap["engine.cache_misses"]["value"] == meta["cache_misses"]
         assert snap["sink.rows"]["value"] == meta["rows"]
         assert snap["sink.bytes"]["value"] == (
             tmp_path / "rows.jsonl"

@@ -2,14 +2,16 @@
 
 A :class:`repro.store.TileSink` materialises a sweep as a **tiled
 columnar store**: parameter-plane-aligned NumPy tiles, one ``.npy``
-blob per result column per tile, plus a JSON manifest carrying a
-content fingerprint for every tile (scenario spec + axis windows +
-seed window + referenced-file content).  Those fingerprints make
-re-runs incremental: ``run_sweep_streaming(..., delta=True)`` diffs
-the new plan against the manifest and executes only the tiles whose
-fingerprint has no match — everything else is adopted (same index) or
-copied (fingerprint found elsewhere, e.g. after an axis grew).  The
-finished store is bit-identical to a from-scratch run.
+blob per result column per tile (named by its sha256, so equal blobs
+are stored once), plus a JSON manifest carrying a content fingerprint
+for every tile (scenario spec + axis windows + seed window +
+referenced-file content).  Those fingerprints make re-runs
+incremental: ``run_sweep_streaming(..., delta=True)`` diffs the new
+plan against the manifest and executes only the tiles whose
+fingerprint has no match — everything else is adopted, at the same
+index (skipped) or at another (moved, e.g. after an axis grew), as a
+manifest record pointing at the same blobs.  The finished store is
+bit-identical to a from-scratch run.
 
 This example walks the workflow:
 
@@ -91,8 +93,9 @@ report("unchanged   ", meta)
 
 # 3. Prepend an axis value: every old tile's data is still valid but
 #    now lives at the next index over.  The fingerprints match at the
-#    shifted positions, so the blobs are *moved* (hash-verified copy,
-#    zero kernel work) and only the genuinely new tile executes.
+#    shifted positions, so the tiles are *moved* (their records point
+#    at the same blobs: no file written, zero kernel work) and only the
+#    genuinely new tile executes.
 meta = run_sweep_streaming(
     sweep_over([0.49] + p_trues),
     sinks=(TileSink(store_path, tile_scenarios=50),), delta=True,

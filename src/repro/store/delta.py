@@ -8,17 +8,19 @@ plan, and diffs each tile's content fingerprint
 window + referenced-file content) against those records:
 
 * **skipped** — the tile at the same index has the same fingerprint;
-  its blobs are adopted with zero I/O beyond a size check;
 * **moved** — the fingerprint exists elsewhere in the old store (an
-  axis grew or values shifted position); the blobs are staged through
-  temp files on the store's filesystem (hash-verified as they stream,
-  memory bounded however many tiles move) and renamed into the new
-  index;
+  axis grew or values shifted position);
 * **executed** — everything else runs as one
   :class:`~repro.engine.plan.PlanWindow` of the plan through the
   ordinary executor (:func:`repro.engine.stream.run_sweep_streaming`),
   in this process or across ``shards``, into the same
   :class:`~repro.store.TileSink`.
+
+Blobs are named by their content (:func:`~repro.store.format.blob_path`),
+so a skipped and a moved tile are the same thing: the old record, under
+the new index, pointing at the same files — zero I/O beyond a size
+check per blob.  No write of this run can replace a blob another record
+needs, so the triage needs no ordering.
 
 Because reused blobs were themselves produced by a run of a
 fingerprint-identical region, and executed tiles run the same kernels
@@ -38,24 +40,15 @@ generation, so every tile executes — the delta rebuilds it.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import shutil
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import DomainError
 from ..telemetry import tracer
 from ..engine.coordinator import check_sharding
 from ..engine.sinks import ResultSink
 from ..engine.stream import ProgressFn, _resolve_backend, run_sweep_streaming
-from .format import (
-    TILES_DIR,
-    append_journal,
-    read_journal,
-    read_manifest,
-    tile_dirname,
-)
+from .format import append_journal, read_journal, read_manifest
 from .layout import Tile
 from .sink import TileSink, TileWriter
 
@@ -75,64 +68,6 @@ def _previous_generation(store_path: str) -> List[Dict[str, Any]]:
         return []
 
 
-#: Staging directory for moved tiles, inside the store (same
-#: filesystem, so staged files rename into tile directories atomically).
-STAGE_DIR = ".delta-stage"
-
-_COPY_BLOCK = 1 << 20
-
-
-def _stage_move_sources(
-    store_path: str,
-    moves: List[Tuple[Tile, str, Dict[str, Any]]],
-    stage_dir: str,
-) -> Dict[int, Dict[str, str]]:
-    """Stage every moved tile's source blobs to disk *before* any write.
-
-    Destination directories are keyed by tile index, and a moved
-    tile's destination can be another moved tile's source (axes
-    shifting positions permute indices) — so all sources must be
-    secured before the first destination write.  Each blob is streamed
-    (bounded memory, however many tiles move) into a per-destination
-    temp file under ``stage_dir``, content-verified by sha256 as it is
-    copied, and fsynced; :meth:`TileWriter.reuse_tile` later renames it
-    into place.  A blob that fails verification drops its tile from
-    the result, demoting it to "execute".
-    """
-    staged: Dict[int, Dict[str, str]] = {}
-    for tile, _fp, old_record in moves:
-        source_dir = os.path.join(
-            store_path, TILES_DIR, tile_dirname(old_record["index"])
-        )
-        files: Dict[str, str] = {}
-        for name, col in old_record["columns"].items():
-            src = os.path.join(source_dir, col["file"])
-            dst = os.path.join(
-                stage_dir, f"{tile.index:06d}.{col['file']}"
-            )
-            digest = hashlib.sha256()
-            try:
-                with open(src, "rb") as reader, open(dst, "wb") as writer:
-                    while True:
-                        block = reader.read(_COPY_BLOCK)
-                        if not block:
-                            break
-                        digest.update(block)
-                        writer.write(block)
-                    writer.flush()
-                    os.fsync(writer.fileno())
-            except OSError:
-                files = {}
-                break
-            if digest.hexdigest() != col["sha256"]:
-                files = {}
-                break
-            files[name] = dst
-        if files:
-            staged[tile.index] = files
-    return staged
-
-
 def _reuse(writer: TileWriter,
            old_records: List[Dict[str, Any]]) -> List[Tile]:
     """Adopt every tile of ``writer``'s layout that the previous
@@ -145,58 +80,25 @@ def _reuse(writer: TileWriter,
     old_by_fp: Dict[str, Dict[str, Any]] = {}
     for record in old_records:
         old_by_fp.setdefault(record["fingerprint"], record)
-    # Triage every tile before touching the store: moved-tile sources
-    # must be buffered before any destination write can clobber them.
-    skipped: List[Tuple[Tile, str, Dict[str, Any]]] = []
-    moved: List[Tuple[Tile, str, Dict[str, Any]]] = []
+    reused: List[Dict[str, Any]] = []
     pending: List[Tile] = []
     for tile in layout.tiles():
         fp = layout.fingerprint(tile)
         record = old_by_index.get(tile.index)
-        if record is not None and record["fingerprint"] == fp:
-            skipped.append((tile, fp, record))
-            continue
-        record = old_by_fp.get(fp)
-        if record is not None:
-            moved.append((tile, fp, record))
-        else:
+        if record is None or record["fingerprint"] != fp:
+            record = old_by_fp.get(fp)
+        if record is None:
             pending.append(tile)
-
-    stage_dir = os.path.join(writer.path, STAGE_DIR)
-    shutil.rmtree(stage_dir, ignore_errors=True)  # a crashed delta's
-    if moved:
-        os.makedirs(stage_dir, exist_ok=True)
-    reused: List[Dict[str, Any]] = []
-    try:
-        move_staged = _stage_move_sources(writer.path, moved, stage_dir)
-        for tile, fp, record in moved:
-            staged = move_staged.get(tile.index)
-            if staged is None:
-                pending.append(tile)
-                continue
-            source_dir = os.path.join(
-                writer.path, TILES_DIR, tile_dirname(record["index"])
-            )
-            try:
-                reused.append(writer.reuse_tile(
-                    tile, fp, record, source_dir, staged=staged
-                ))
-            except DomainError:
-                pending.append(tile)
-    finally:
-        shutil.rmtree(stage_dir, ignore_errors=True)
-    for tile, fp, record in skipped:
+            continue
         try:
-            reused.append(writer.reuse_tile(
-                tile, fp, record, writer.tile_dir(tile.index)
-            ))
+            reused.append(writer.reuse_tile(tile, fp, record))
         except DomainError:
             pending.append(tile)
-    # Every reused tile's blobs are in place now: one journal batch.
-    # The pending run appends to this journal, so a delta killed
-    # mid-run is finished by the next one.
+    # Every reused tile's blobs are in place: one journal batch.  The
+    # pending run appends to this journal, so a delta killed mid-run is
+    # finished by the next one.
     append_journal(writer.path, reused)
-    return sorted(pending, key=lambda tile: tile.index)
+    return pending
 
 
 def run_sweep_delta(

@@ -1,4 +1,4 @@
-"""On-disk format of a tile store: blobs, filenames, manifest.
+"""On-disk format of a tile store: blobs, manifest, journal.
 
 Layout on disk::
 
@@ -6,20 +6,25 @@ Layout on disk::
       manifest.json          # plan identity + per-tile records
       journal.jsonl          # only while a run is writing (see below)
       tiles/
-        000000/
-          confidence.npy     # one .npy blob per value column per tile
-          p_top.npy
-        000001/
+        3f/
+          3f9a….npy          # one .npy blob, named by its own sha256
+        a0/
           ...
 
-Everything here is **deterministic**: column files are named by a pure
-function of the column name, every tile stores each column in the dtype
-its pipeline declares (``None`` as the declared *nodata* value, both
-recorded in the manifest's ``columns``), and the manifest is dumped
-with sorted keys and no timestamps.  That is a correctness requirement,
-not tidiness — the delta executor promises that an incremental store
-is *bit-identical* to a from-scratch run, so every byte must be a
-function of the sweep alone.
+A tile record names each of its value columns' blobs by sha256, and
+:func:`blob_path` is the one place that turns a hash into a file.  A
+blob's name is its content, so tiles (and columns) holding equal bytes
+share one file, and a write can never replace a blob that another
+record needs: reusing a previous generation's tile — at its own index
+or at another — is a manifest record, not a file operation.
+
+Everything here is **deterministic**: every tile stores each column in
+the dtype its pipeline declares (``None`` as the declared *nodata*
+value, both recorded in the manifest's ``columns``), and the manifest
+is dumped with sorted keys and no timestamps.  That is a correctness
+requirement, not tidiness — the delta executor promises that an
+incremental store is *bit-identical* to a from-scratch run, so every
+byte must be a function of the sweep alone.
 
 The manifest is the store's single commit point.  While a run writes,
 ``journal.jsonl`` holds one line per tile whose blobs are in place —
@@ -28,9 +33,9 @@ run removes it.  A killed run therefore leaves blobs and a journal but
 no manifest: readers refuse it, and ``delta=True`` takes the journal's
 records as the previous generation and executes only the rest.
 
-:data:`STORE_VERSION` 2 is the declared-schema format; readers refuse
-other versions, and ``delta=True`` rebuilds such a store from scratch
-(its records are not reused).
+:data:`STORE_VERSION` 3 is the content-addressed format; readers
+refuse other versions, and ``delta=True`` rebuilds such a store from
+scratch (its records are not reused).
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ import hashlib
 import io
 import json
 import os
-import re
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -48,8 +52,8 @@ from ..errors import DomainError
 
 __all__ = [
     "MANIFEST_NAME", "JOURNAL_NAME", "TILES_DIR", "STORE_FORMAT",
-    "STORE_VERSION", "column_filename", "column_record", "nodata_of",
-    "encode_blob", "decode_blob", "tile_dirname", "write_atomic",
+    "STORE_VERSION", "blob_path", "column_record", "nodata_of",
+    "encode_blob", "decode_blob", "write_atomic",
     "read_manifest", "write_manifest", "append_journal", "read_journal",
 ]
 
@@ -57,53 +61,22 @@ MANIFEST_NAME = "manifest.json"
 JOURNAL_NAME = "journal.jsonl"
 TILES_DIR = "tiles"
 STORE_FORMAT = "repro-tile-store"
-STORE_VERSION = 2
-
-_SAFE = re.compile(r"[^A-Za-z0-9._-]")
+STORE_VERSION = 3
 
 
-def tile_dirname(index: int) -> str:
-    """Zero-padded per-tile directory name (sorts in tile order)."""
-    return f"{index:06d}"
+def blob_path(store_path: str, sha256: str) -> str:
+    """Where the blob whose bytes hash to ``sha256`` lives in a store."""
+    return os.path.join(store_path, TILES_DIR, sha256[:2], f"{sha256}.npy")
 
 
-def column_filename(name: str) -> str:
-    """Filesystem-safe blob name for a column (deterministic)."""
-    safe = _SAFE.sub("_", name) or "column"
-    return f"{safe}.npy"
-
-
-def column_filenames(names: Sequence[str]) -> Dict[str, str]:
-    """Map column names to unique blob filenames.
-
-    Collisions after sanitisation (``"a.b"`` vs ``"a_b"``) are broken
-    by a numeric suffix assigned in sorted-name order, so the mapping
-    is a pure function of the column *set*, independent of the order
-    tiles were written in.
-    """
-    mapping: Dict[str, str] = {}
-    used: Dict[str, int] = {}
-    for name in sorted(names):
-        base = column_filename(name)
-        count = used.get(base, 0)
-        used[base] = count + 1
-        if count:
-            stem, ext = os.path.splitext(base)
-            base = f"{stem}__{count + 1}{ext}"
-        mapping[name] = base
-    return mapping
-
-
-def column_record(column, filename: str) -> Dict[str, Any]:
+def column_record(column) -> Dict[str, Any]:
     """The manifest ``columns`` entry of a declared
-    :class:`~repro.engine.pipelines.Column` stored as ``filename``; the
-    nodata value is kept as text (``"-1"``, ``"nan"``), ``None`` when
-    the column has none."""
+    :class:`~repro.engine.pipelines.Column`; the nodata value is kept as
+    text (``"-1"``, ``"nan"``), ``None`` when the column has none."""
     return {
         "name": column.name,
         "dtype": column.dtype,
         "nodata": None if column.nodata is None else str(column.nodata),
-        "file": filename,
     }
 
 

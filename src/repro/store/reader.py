@@ -13,15 +13,15 @@ Columns come back in the dtype their pipeline declared; where a row
 held ``None`` the arrays hold the column's declared nodata value, and
 :meth:`StoreSlice.records` maps it back to ``None``.
 
-Decoded blobs are memoised in the ``"store.tiles"`` compile-cache
-region keyed by their content hash, so repeated queries against the
-same store (a plotting session, a service endpoint) hit memory, not
-disk.
+Blobs are named by their content hash
+(:func:`~repro.store.format.blob_path`), and decoded blobs are memoised
+in the ``"store.tiles"`` compile-cache region under that hash, so
+repeated queries against the same store (a plotting session, a service
+endpoint) — and tiles holding equal columns — hit memory, not disk.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -32,13 +32,7 @@ from ..engine.pipelines import Column
 from ..engine.results import rows_of
 from ..errors import DomainError
 from ..telemetry import metrics, tracer
-from .format import (
-    TILES_DIR,
-    decode_blob,
-    nodata_of,
-    read_manifest,
-    tile_dirname,
-)
+from .format import blob_path, decode_blob, nodata_of, read_manifest
 
 __all__ = ["TileStore", "StoreSlice"]
 
@@ -174,7 +168,12 @@ class TileStore:
         return self._manifest
 
     def stats(self) -> Dict[str, Any]:
-        """Aggregate store statistics (what the CLI ``store stats`` prints)."""
+        """Aggregate store statistics (what the CLI ``store stats`` prints).
+
+        ``bytes`` (and each column's) is what the tiles hold, summed
+        over tile records; equal blobs are stored once, so the store's
+        ``tiles/`` directory can be smaller.
+        """
         per_column: Dict[str, int] = {name: 0 for name in self._columns}
         total = 0
         for record in self._tiles:
@@ -207,10 +206,7 @@ class TileStore:
         cached = self._cache.get(col["sha256"])
         if cached is not None:
             return cached
-        path = os.path.join(
-            self._path, TILES_DIR, tile_dirname(record["index"]),
-            col["file"],
-        )
+        path = blob_path(self._path, col["sha256"])
         try:
             arr = decode_blob(path)
         except (OSError, ValueError) as exc:

@@ -1,10 +1,11 @@
 """Tile store writer: the ``TileWriter`` core and the ``TileSink``.
 
 :class:`TileWriter` owns the on-disk store during one run — it encodes
-tiles to ``.npy`` blobs, journals each tile as it commits, accounts
-bytes, and finalises the manifest (pruning any blobs a previous store
-version left behind, and removing the journal).  Its columns are the
-plan's declared schema
+tiles to ``.npy`` blobs named by their content (each distinct blob
+written once per run), journals each tile as it commits, accounts
+bytes, and finalises the manifest (removing the journal and pruning
+every blob no record of the new generation references).  Its columns
+are the plan's declared schema
 (:attr:`~repro.engine.plan.ExecutionPlan.column_sets`): every tile
 stores each column in its declared dtype with ``None`` as the declared
 nodata value, and the manifest records both.  A plan whose
@@ -21,18 +22,18 @@ directory, but its journal names every committed tile, so
   (shard workers only compute columns), so sharded sweeps write tile
   stores unchanged.
 * the delta executor (:mod:`repro.store.delta`) starts a generation
-  with :meth:`TileSink.begin`, reuses the previous generation's
-  matching blobs through the writer, and runs the remaining tiles as a
-  window through the ordinary executor into the same sink.
+  with :meth:`TileSink.begin`, adopts the previous generation's
+  matching tile records through the writer (no blob is copied or
+  renamed), and runs the remaining tiles as a window through the
+  ordinary executor into the same sink.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import shutil
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 import numpy as np
 
@@ -47,11 +48,10 @@ from .format import (
     STORE_VERSION,
     TILES_DIR,
     append_journal,
-    column_filenames,
+    blob_path,
     column_record,
     encode_blob,
     journal_path,
-    tile_dirname,
     write_atomic,
     write_manifest,
 )
@@ -73,7 +73,9 @@ class TileWriter:
     The journal starts empty; each tile's record is appended once its
     blobs are in place (:meth:`write_tile` does so itself; callers of
     :meth:`reuse_tile` pass its records to
-    :func:`~repro.store.format.append_journal`).
+    :func:`~repro.store.format.append_journal`).  Every blob this
+    generation holds — written by :meth:`write_tile` or adopted by
+    :meth:`reuse_tile` — is written at most once per run.
     """
 
     def __init__(self, path: str, layout: TileLayout):
@@ -92,8 +94,9 @@ class TileWriter:
                 f"JSONL or CSV"
             )
         self._columns = next(iter(schemas), ())
-        self._files = column_filenames([c.name for c in self._columns])
         self._records: Dict[int, Dict[str, Any]] = {}
+        # sha256 of every blob in place for this generation.
+        self._blobs: Set[str] = set()
         self.tiles_written = 0
         self.tiles_skipped = 0
         self.tiles_moved = 0
@@ -116,9 +119,6 @@ class TileWriter:
     def layout(self) -> TileLayout:
         return self._layout
 
-    def tile_dir(self, index: int) -> str:
-        return os.path.join(self._path, TILES_DIR, tile_dirname(index))
-
     # ------------------------------------------------------------------ #
     # Tile ingestion
     # ------------------------------------------------------------------ #
@@ -134,8 +134,6 @@ class TileWriter:
                 f"tile {tile.index} expects {tile.n_scenarios} rows, "
                 f"got {n_rows}"
             )
-        tile_dir = self.tile_dir(tile.index)
-        os.makedirs(tile_dir, exist_ok=True)
         columns: Dict[str, Any] = {}
         with tracer.span("store.write_tile") as span:
             for column in self._columns:
@@ -144,16 +142,18 @@ class TileWriter:
                 if not self._layout.linear:
                     arr = arr.reshape(tile.shape)
                 data, sha = encode_blob(arr)
-                filename = self._files[name]
-                write_atomic(os.path.join(tile_dir, filename), data)
+                if sha not in self._blobs:
+                    path = blob_path(self._path, sha)
+                    os.makedirs(os.path.dirname(path), exist_ok=True)
+                    write_atomic(path, data)
+                    self._blobs.add(sha)
+                    self.bytes_written += len(data)
+                    _M_BYTES_WRITTEN.add(len(data))
                 columns[name] = {
-                    "file": filename,
                     "dtype": str(arr.dtype),
                     "bytes": len(data),
                     "sha256": sha,
                 }
-                self.bytes_written += len(data)
-                _M_BYTES_WRITTEN.add(len(data))
             span.set(tile=tile.index, rows=n_rows)
         record = self._record(tile, self._layout.fingerprint(tile), columns)
         self._records[tile.index] = record
@@ -165,29 +165,19 @@ class TileWriter:
         return record
 
     def reuse_tile(
-        self,
-        tile: Tile,
-        fingerprint: str,
-        old_record: Dict[str, Any],
-        source_dir: str,
-        staged: Optional[Dict[str, str]] = None,
+        self, tile: Tile, fingerprint: str, old_record: Dict[str, Any]
     ) -> Dict[str, Any]:
-        """Adopt a previous generation's blobs for ``tile``.
+        """Adopt a previous generation's record of ``fingerprint`` for
+        ``tile``: ``skipped`` when it was stored at the same index,
+        ``moved`` when at another (e.g. after an axis grew).  Either way
+        no file is written: the record's blobs are named by content, so
+        the new record points at the same files.
 
-        When the old blobs already sit in this tile's directory the
-        adoption is free (``skipped``); otherwise they are renamed into
-        place (``moved`` — the fingerprint matched at a different tile
-        index, e.g. after an axis grew).  Moves must pass ``staged``:
-        per-column paths of temp files the caller copied and
-        content-verified *before* any destination write (a move's
-        destination directory can be a later move's source, and staging
-        through files keeps peak memory independent of how many tiles
-        move).  Each staged file is consumed (renamed away) on use.
         Returns the new record, or raises :class:`DomainError` if the
         old record's columns or dtypes differ from the declared schema,
         or a blob is missing or its size disagrees with the old record
-        — callers treat that as "execute the tile instead".  The record
-        is not journaled: pass it to
+        — callers treat that as "execute the tile instead" (which
+        rewrites the blob).  The record is not journaled: pass it to
         :func:`~repro.store.format.append_journal`.
         """
         declared = {column.name: column.dtype for column in self._columns}
@@ -197,57 +187,30 @@ class TileWriter:
                 f"tile {tile.index} was stored with other columns or "
                 f"dtypes than the pipeline declares; re-executing"
             )
-        tile_dir = self.tile_dir(tile.index)
-        in_place = os.path.realpath(source_dir) == os.path.realpath(tile_dir)
         columns: Dict[str, Any] = {}
-        reused = 0
         for name in declared:
             old_col = old_record["columns"][name]
-            filename = self._files[name]
-            if in_place:
-                if old_col["file"] != filename:
-                    raise DomainError(
-                        f"tile {tile.index} blob naming changed "
-                        f"({old_col['file']!r} -> {filename!r}); "
-                        f"re-executing"
-                    )
-                src = os.path.join(source_dir, old_col["file"])
-                try:
-                    size = os.path.getsize(src)
-                except OSError:
-                    raise DomainError(
-                        f"tile blob {src!r} disappeared; re-executing"
-                    ) from None
-                if size != old_col["bytes"]:
-                    raise DomainError(
-                        f"tile blob {src!r} is {size} bytes, manifest "
-                        f"recorded {old_col['bytes']}; re-executing"
-                    )
-            else:
-                src = (staged or {}).get(name)
-                try:
-                    size = -1 if src is None else os.path.getsize(src)
-                except OSError:
-                    size = -1
-                if size != old_col["bytes"]:
-                    raise DomainError(
-                        f"tile {tile.index} move is missing verified "
-                        f"staged bytes for column {name!r}; re-executing"
-                    )
-                os.makedirs(tile_dir, exist_ok=True)
-                os.replace(src, os.path.join(tile_dir, filename))
-            columns[name] = {
-                "file": filename,
-                "dtype": old_col["dtype"],
-                "bytes": old_col["bytes"],
-                "sha256": old_col["sha256"],
-            }
-            reused += old_col["bytes"]
+            path = blob_path(self._path, old_col["sha256"])
+            try:
+                size = os.path.getsize(path)
+            except OSError:
+                raise DomainError(
+                    f"tile blob {path!r} disappeared; re-executing"
+                ) from None
+            if size != old_col["bytes"]:
+                raise DomainError(
+                    f"tile blob {path!r} is {size} bytes, manifest "
+                    f"recorded {old_col['bytes']}; re-executing"
+                )
+            columns[name] = {key: old_col[key]
+                             for key in ("dtype", "bytes", "sha256")}
         record = self._record(tile, fingerprint, columns)
         self._records[tile.index] = record
+        self._blobs.update(col["sha256"] for col in columns.values())
+        reused = sum(col["bytes"] for col in columns.values())
         self.bytes_reused += reused
         _M_BYTES_REUSED.add(reused)
-        if in_place:
+        if old_record["index"] == tile.index:
             self.tiles_skipped += 1
             _M_TILES_SKIPPED.add()
         else:
@@ -294,8 +257,7 @@ class TileWriter:
             )
         plan = self._plan
         records = [self._records[index] for index in range(layout.n_tiles)]
-        column_meta = [column_record(column, self._files[column.name])
-                       for column in self._columns]
+        column_meta = [column_record(column) for column in self._columns]
         store_fp = hashlib.sha256(
             "".join(record["fingerprint"] for record in records)
             .encode("utf-8")
@@ -324,34 +286,25 @@ class TileWriter:
         return manifest
 
     def _prune(self, records: List[Dict[str, Any]]) -> None:
-        """Remove blobs/dirs no record references (old generations)."""
-        expected: Dict[str, set] = {}
-        for record in records:
-            dirname = tile_dirname(record["index"])
-            expected.setdefault(dirname, set()).update(
-                col["file"] for col in record["columns"].values()
-            )
+        """Best-effort removal of every file under ``tiles/`` that no
+        record references (older generations, older store versions,
+        torn temp files), and of the directories that leaves empty."""
+        keep = {blob_path(self._path, col["sha256"])
+                for record in records for col in record["columns"].values()}
         tiles_root = os.path.join(self._path, TILES_DIR)
-        try:
-            entries = sorted(os.listdir(tiles_root))
-        except OSError:
-            return
-        for entry in entries:
-            entry_path = os.path.join(tiles_root, entry)
-            if entry not in expected:
-                shutil.rmtree(entry_path, ignore_errors=True)
-                continue
-            keep = expected[entry]
-            try:
-                files = os.listdir(entry_path)
-            except OSError:
-                continue
-            for filename in files:
-                if filename not in keep:
+        for root, _dirs, files in os.walk(tiles_root, topdown=False):
+            for name in files:
+                path = os.path.join(root, name)
+                if path not in keep:
                     try:
-                        os.remove(os.path.join(entry_path, filename))
+                        os.remove(path)
                     except OSError:
                         pass
+            if root != tiles_root:
+                try:
+                    os.rmdir(root)
+                except OSError:
+                    pass
 
 
 class TileSink(ResultSink):

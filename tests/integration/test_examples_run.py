@@ -1,5 +1,6 @@
 """Every example script must run cleanly — they are executable docs."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -17,12 +18,16 @@ def test_examples_exist():
 @pytest.mark.parametrize(
     "script", EXAMPLE_SCRIPTS, ids=[s.stem for s in EXAMPLE_SCRIPTS]
 )
-def test_example_runs_cleanly(script):
+def test_example_runs_cleanly(script, tmp_path):
+    # Examples write into tempfile.mkdtemp() directories they leave for
+    # the reader (traced_sweep.py prints its trace to open): point them
+    # at this test's directory, which pytest's retention bounds.
     result = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=300,
+        env=dict(os.environ, TMPDIR=str(tmp_path)),
     )
     assert result.returncode == 0, (
         f"{script.name} failed:\n{result.stderr[-2000:]}"

@@ -6,6 +6,7 @@ only the work the fingerprints say is new.  Each test edits a sweep a
 different way and checks both halves of the promise.
 """
 
+import json
 import os
 import pathlib
 import shutil
@@ -15,6 +16,7 @@ import pytest
 from repro.engine import JsonlSink, SweepSpec, run_sweep_streaming
 from repro.errors import DomainError
 from repro.store import TileSink, TileStore, run_sweep_delta
+from repro.store.format import blob_path
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
@@ -41,6 +43,11 @@ def store_bytes(path):
             with open(full, "rb") as handle:
                 out[rel] = handle.read()
     return out
+
+
+def manifest_of(path):
+    with open(os.path.join(path, "manifest.json"), encoding="utf-8") as f:
+        return json.load(f)
 
 
 def delta_run(path, sweep, tile_scenarios=4):
@@ -239,13 +246,28 @@ class TestDeltaCrashSafety:
         scratch = scratch_store(tmp_path, edited)
         assert store_bytes(path) == store_bytes(scratch)
 
-    def test_move_staging_dir_cleaned_up(self, tmp_path):
+    def test_moves_write_no_blob(self, tmp_path):
         path = str(tmp_path / "store")
         delta_run(path, sweep_over())
+        before = {}
+        for root, _dirs, files in os.walk(os.path.join(path, "tiles")):
+            for name in files:
+                stat = os.stat(os.path.join(root, name))
+                before[os.path.join(root, name)] = (stat.st_ino,
+                                                    stat.st_mtime_ns)
+        old_fps = {record["fingerprint"]
+                   for record in manifest_of(path)["tiles"]}
         grown = sweep_over(confs=[0.5] + BASE_CONFS)
         meta = delta_run(path, grown)
-        assert meta["tiles_moved"] == 3
-        assert not os.path.exists(os.path.join(path, ".delta-stage"))
+        assert (meta["tiles_moved"], meta["tiles_executed"]) == (3, 1)
+        moved = [record for record in manifest_of(path)["tiles"]
+                 if record["fingerprint"] in old_fps]
+        assert [record["index"] for record in moved] == [1, 2, 3]
+        for record in moved:
+            for col in record["columns"].values():
+                blob = blob_path(path, col["sha256"])
+                stat = os.stat(blob)
+                assert (stat.st_ino, stat.st_mtime_ns) == before[blob]
         scratch = scratch_store(tmp_path, grown)
         assert store_bytes(path) == store_bytes(scratch)
 
@@ -387,20 +409,25 @@ class TestDeltaGuards:
         assert meta["tiles_executed"] == meta["tiles_total"]
         TileStore.open(path)
 
-    def test_corrupted_blob_reexecutes_instead_of_reusing(self, tmp_path):
+    @pytest.mark.parametrize("sharing", [1, 3], ids=["unshared", "shared"])
+    def test_corrupted_blob_reexecutes_instead_of_reusing(self, tmp_path,
+                                                          sharing):
         path = str(tmp_path / "store")
         delta_run(path, sweep_over())
-        # Truncate one blob: its size check fails, so the skipped tile
-        # demotes to execute and the store self-heals.
-        blob = next(
-            os.path.join(root, name)
-            for root, _dirs, files in os.walk(os.path.join(path, "tiles"))
-            for name in files
-        )
-        with open(blob, "wb") as handle:
+        # Tiles holding equal columns share one blob: pick one that
+        # ``sharing`` of the 3 tiles reference.
+        tiles_of = {}
+        for record in manifest_of(path)["tiles"]:
+            for col in record["columns"].values():
+                tiles_of.setdefault(col["sha256"], set()).add(record["index"])
+        sha = min(sha for sha, tiles in tiles_of.items()
+                  if len(tiles) == sharing)
+        # Truncate it: the size check fails in every tile referencing
+        # it, so those tiles demote to execute and the store self-heals.
+        with open(blob_path(path, sha), "wb") as handle:
             handle.write(b"torn")
         meta = delta_run(path, sweep_over())
-        assert meta["tiles_executed"] == 1
-        assert meta["tiles_skipped"] == 2
+        assert meta["tiles_executed"] == sharing
+        assert meta["tiles_skipped"] == 3 - sharing
         scratch = scratch_store(tmp_path, sweep_over())
         assert store_bytes(path) == store_bytes(scratch)

@@ -7,6 +7,8 @@ manifest (readers refuse it) but a journal of k records, and
 tiles — into a store byte-identical to an uninterrupted one.
 """
 
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -205,13 +207,24 @@ class TestFinishedStore:
         else:
             run_killed(monkeypatch, path, 3)
             run(path, delta=True)
-        files = sorted(name.replace(os.sep, "/")
-                       for name in store_bytes(path))
+        stored = {name.replace(os.sep, "/"): data
+                  for name, data in store_bytes(path).items()}
+        files = sorted(stored)
         assert files[0] == "manifest.json"
         assert files[1:] and all(
-            re.fullmatch(r"tiles/\d{6}/[^/]+\.npy", name)
+            re.fullmatch(r"tiles/[0-9a-f]{2}/[0-9a-f]{64}\.npy", name)
             for name in files[1:]
         ), files
+        # Each blob is named by the sha256 of its bytes, and the blobs
+        # are exactly the ones the manifest references.
+        hashes = set()
+        for name in files[1:]:
+            sha = hashlib.sha256(stored[name]).hexdigest()
+            assert name == f"tiles/{sha[:2]}/{sha}.npy"
+            hashes.add(sha)
+        manifest = json.loads(stored["manifest.json"])
+        assert hashes == {col["sha256"] for record in manifest["tiles"]
+                          for col in record["columns"].values()}
 
 
 class TestReadJournal:

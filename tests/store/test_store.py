@@ -22,6 +22,7 @@ from repro.engine import (
 )
 from repro.errors import DomainError
 from repro.store import TileSink, TileStore
+from repro.store.format import blob_path
 from repro.telemetry import disable_metrics, enable_metrics, metrics
 
 SWEEP = SweepSpec(
@@ -234,17 +235,23 @@ class TestTileStoreReader:
             TileStore.open(str(tmp_path))
 
     def test_stats_totals_match_blob_sizes(self, tmp_path):
-        path, _s, _m = materialise(tmp_path, tile_scenarios=3)
+        path, sink, _m = materialise(tmp_path, tile_scenarios=3)
         store = TileStore.open(path)
         stats = store.stats()
-        on_disk = 0
-        tiles_root = os.path.join(path, "tiles")
-        for tile_dir in os.listdir(tiles_root):
-            for blob in os.listdir(os.path.join(tiles_root, tile_dir)):
-                on_disk += os.path.getsize(
-                    os.path.join(tiles_root, tile_dir, blob))
-        assert stats["bytes"] == on_disk
-        assert sum(c["bytes"] for c in stats["columns"].values()) == on_disk
+        # The bytes the tiles hold: each record's blobs, however many
+        # records share one.
+        held = sum(os.path.getsize(blob_path(path, col["sha256"]))
+                   for record in store.manifest["tiles"]
+                   for col in record["columns"].values())
+        assert stats["bytes"] == held
+        assert sum(c["bytes"] for c in stats["columns"].values()) == held
+        on_disk = sum(os.path.getsize(os.path.join(root, name))
+                      for root, _dirs, files
+                      in os.walk(os.path.join(path, "tiles"))
+                      for name in files)
+        assert on_disk <= held
+        # A run writes (and counts) each distinct blob once.
+        assert sink.writer.bytes_written == on_disk
 
 
 class TestRowSinkParity:

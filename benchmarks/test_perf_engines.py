@@ -45,9 +45,11 @@ from repro.bbn import (
     enumerate_query,
     likelihood_weighting,
 )
-from repro.bbn.inference import _LoopVariableElimination
+from repro.bbn.oracles import (
+    _LoopVariableElimination,
+    _likelihood_weighting_loop,
+)
 from repro.bbn.paths import min_degree_order
-from repro.bbn.sampling import _likelihood_weighting_loop
 from repro.distributions import LogNormalJudgement
 from repro.engine import (
     JsonlSink,

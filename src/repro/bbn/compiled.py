@@ -20,7 +20,12 @@ answers queries without touching the name-keyed object layer again:
   draws use the same inverse-CDF ``searchsorted`` construction as
   ``numpy.random.Generator.choice`` against one ``(n_samples, n_free)``
   uniform block, so the vectorized sampler reproduces the retired
-  per-sample Python loop draw-for-draw under a shared seed.
+  per-sample Python loop draw-for-draw under a shared seed.  The batched
+  sampler keeps one ``(S, n_samples)`` code plane per variable instead,
+  gathers CPT values one state column at a time and compares each
+  uniform with a row's first ``card - 1`` normalised partial sums —
+  the scalar sampler's arithmetic, so its rows are the scalar results
+  bit for bit.
 * **CPT parameter planes** batch a *family* of networks that share one
   structure but differ in CPT values: :meth:`query_batch`,
   :meth:`probability_of_evidence_batch` and
@@ -372,8 +377,18 @@ class CompiledNetwork:
         the ``(n_samples, n_free)`` uniform block for scenario ``s``
         exactly as :meth:`likelihood_weighting` would, so row ``s`` of
         the returned ``(S, cardinality)`` array is bit-for-bit the
-        single-scenario result under the same seed — while the forward
-        sampling itself runs as ``(S, n_samples)`` array passes.
+        single-scenario result under the same seed.
+
+        The forward pass keeps one ``(S, n_samples)`` code plane per
+        variable (a clamped variable's plane is its evidence code) and
+        gathers CPT values one state column at a time.  A free variable
+        of cardinality ``c`` compares ``u`` with its row's first
+        ``c - 1`` normalised partial sums: the sums are the same
+        sequential additions and the same division as the scalar
+        sampler's ``cumsum(row) / row total``, and the last normalised
+        sum (``t / t``: 1.0, or NaN when ``t`` is 0 or not finite) never
+        satisfies ``<= u`` because ``u < 1``, so the draws are the
+        scalar sampler's.
         """
         if n_samples < 1:
             raise DomainError("n_samples must be positive")
@@ -390,67 +405,52 @@ class CompiledNetwork:
             )
         generators = [ensure_rng(rng) for rng in rngs]
 
-        n = self.n_variables
-        n_free = n - len(codes)
+        n_free = self.n_variables - len(codes)
+        shape = (n_scenarios, n_samples)
         with tracer.span("bbn.lw_batch", target=target, n_samples=n_samples,
                          n_scenarios=n_scenarios):
             with tracer.span("bbn.lw.forward", n_free=n_free):
-                uniforms = None
-                if n_free:
-                    # Each scenario's draw fills its row of one
-                    # preallocated block: peak extra memory is one
-                    # scenario's draw, not a stacked copy of the block.
-                    uniforms = np.empty((n_scenarios, n_samples, n_free))
-                    for row, generator in enumerate(generators):
-                        uniforms[row] = generator.random(
-                            (n_samples, n_free)
-                        )
-                plane2d = {
-                    i: plane.reshape(n_scenarios, -1, self._cards[i])
-                    for i, plane in planes.items()
-                }
-                scenario_rows = np.arange(n_scenarios)[:, None]
-                sample_codes = np.empty(
-                    (n_scenarios, n_samples, n), dtype=np.int64
-                )
-                weights = np.ones((n_scenarios, n_samples))
+                uniforms = np.empty(shape + (n_free,))
+                for row, generator in enumerate(generators):
+                    generator.random(out=uniforms[row])
+                weights = np.ones(shape)
+                code_planes: List[Union[int, np.ndarray]] = []
                 free_column = 0
-                for i in range(n):
-                    parent_idx = self._parents[i]
-                    if len(parent_idx):
-                        flat = (
-                            sample_codes[:, :, parent_idx]
-                            @ self._parent_strides[i]
-                        )
-                        if i in plane2d:
-                            rows = plane2d[i][scenario_rows, flat]
-                        else:
-                            rows = self._cpt2d[i][flat]
-                    else:
-                        shape = (n_scenarios, n_samples, int(self._cards[i]))
-                        if i in plane2d:
-                            rows = np.broadcast_to(
-                                plane2d[i][:, 0, None, :], shape
-                            )
-                        else:
-                            rows = np.broadcast_to(self._cpt2d[i][0], shape)
+                for i in range(self.n_variables):
+                    card = int(self._cards[i])
+                    # Scenario s reads its own plane, or every scenario
+                    # the compiled table.  ``index`` is each sample's
+                    # entry in a flattened ``columns`` row; it broadcasts
+                    # to (S, n_samples), and has one column for a root or
+                    # a variable whose parents are all clamped.
+                    table = (planes[i].reshape(n_scenarios, -1, card)
+                             if i in planes else self._cpt2d[i][None])
+                    index = np.arange(len(table))[:, None] * table.shape[1]
+                    for parent, stride in zip(self._parents[i],
+                                              self._parent_strides[i]):
+                        index = index + code_planes[parent] * stride
+                    columns = table.transpose(2, 0, 1).reshape(card, -1)
                     if i in codes:
-                        weights *= rows[:, :, codes[i]]
-                        sample_codes[:, :, i] = codes[i]
-                    else:
-                        cdf = np.cumsum(rows, axis=2)
-                        cdf = cdf / cdf[:, :, -1:]
-                        u = uniforms[:, :, free_column]
-                        free_column += 1
-                        sample_codes[:, :, i] = np.sum(
-                            cdf <= u[:, :, None], axis=2
-                        )
+                        weights *= columns[codes[i]][index]
+                        code_planes.append(codes[i])
+                        continue
+                    total = columns[0][index]
+                    partial_sums = []
+                    for column in columns[1:]:
+                        partial_sums.append(total)
+                        total = total + column[index]
+                    u = uniforms[:, :, free_column]
+                    free_column += 1
+                    code_planes.append(
+                        sum(partial / total <= u for partial in partial_sums)
+                    )
 
             with tracer.span("bbn.lw.reduce"):
                 card = int(self._cards[target_idx])
-                flat_codes = (
-                    sample_codes[:, :, target_idx]
-                    + card * np.arange(n_scenarios)[:, None]
+                flat_codes = np.broadcast_to(
+                    code_planes[target_idx]
+                    + card * np.arange(n_scenarios)[:, None],
+                    shape,
                 )
                 totals = np.bincount(
                     flat_codes.ravel(),

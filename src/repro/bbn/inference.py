@@ -8,20 +8,18 @@ this library builds).
 the compiled einsum engine (:mod:`repro.bbn.compiled`): the network is
 lowered once to integer codes and contiguous CPT arrays, and each
 elimination step is a single :func:`numpy.einsum` contraction.  The
-original pure-Python factor-loop engine survives as
-:class:`_LoopVariableElimination` — the regression oracle the compiled
-path is tested and benchmarked against.
+original pure-Python factor-loop engine lives in :mod:`repro.bbn.oracles`
+as the regression oracle the compiled path is tested and benchmarked
+against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Optional, Sequence
-
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..errors import DomainError, StructureError
 from .compiled import compile_network
-from .cpt import Factor
 from .network import BayesianNetwork
 
 __all__ = ["VariableElimination", "enumerate_query", "joint_probability"]
@@ -56,147 +54,6 @@ class VariableElimination:
     def probability_of_evidence(self, evidence: Mapping[str, str]) -> float:
         """Marginal probability of an evidence assignment (one VE pass)."""
         return self._compile().probability_of_evidence(evidence)
-
-
-class _LoopVariableElimination:
-    """The retired pure-Python engine: pairwise ``Factor.multiply`` VE and
-    a per-evidence-variable recursive ``probability_of_evidence``.
-
-    Kept (unexported) as the independent oracle for regression tests and
-    as the pre-compilation baseline the P6 benchmark measures against.
-    """
-
-    def __init__(self, network: BayesianNetwork):
-        self._network = network
-
-    def query(
-        self,
-        target: str,
-        evidence: Optional[Mapping[str, str]] = None,
-        order: Optional[Sequence[str]] = None,
-    ) -> Dict[str, float]:
-        """``P(target | evidence)`` as a state -> probability mapping."""
-        evidence = dict(evidence or {})
-        net = self._network
-        target_var = net.variable(target)
-        net.validate_evidence(evidence)
-        if target in evidence:
-            return {
-                state: 1.0 if state == evidence[target] else 0.0
-                for state in target_var.states
-            }
-
-        factors = self._reduced_factors(evidence)
-        hidden = [
-            name
-            for name in net.variable_names
-            if name != target and name not in evidence
-        ]
-        for name in self._elimination_order(hidden, factors, order):
-            factors = self._eliminate(factors, name)
-        # Multiply all remaining factors; non-scalar ones mention only the
-        # target, scalars fold into a common weight that normalises away.
-        product = None
-        scalar_product = 1.0
-        for factor in factors:
-            if factor.is_scalar():
-                scalar_product *= factor.scalar_value()
-            else:
-                product = factor if product is None else product.multiply(factor)
-        if product is None:
-            raise StructureError("target variable vanished during elimination")
-        values = product.values * scalar_product
-        total = values.sum()
-        if total <= 0:
-            raise DomainError(
-                f"evidence {evidence} has zero probability under the network"
-            )
-        values = values / total
-        return dict(zip(target_var.states, values.tolist()))
-
-    def probability_of_evidence(self, evidence: Mapping[str, str]) -> float:
-        """Marginal probability of an evidence assignment."""
-        evidence = dict(evidence)
-        if not evidence:
-            return 1.0
-        net = self._network
-        net.validate_evidence(evidence)
-        anchor = next(iter(evidence))
-        remaining = {k: v for k, v in evidence.items() if k != anchor}
-        posterior = self.query(anchor, remaining)
-        prior_of_rest = self.probability_of_evidence(remaining)
-        return posterior[evidence[anchor]] * prior_of_rest
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    def _reduced_factors(self, evidence: Mapping[str, str]) -> List[Factor]:
-        factors = []
-        for factor in self._network.factors():
-            for name, state in evidence.items():
-                if name in factor.names:
-                    factor = factor.reduce(name, state)
-            factors.append(factor)
-        return factors
-
-    @staticmethod
-    def _elimination_order(
-        hidden: List[str],
-        factors: List[Factor],
-        requested: Optional[Sequence[str]],
-    ) -> List[str]:
-        if requested is not None:
-            missing = set(hidden) - set(requested)
-            if missing:
-                raise StructureError(
-                    f"elimination order is missing hidden variables {missing}"
-                )
-            return [name for name in requested if name in hidden]
-        # Min-degree greedy heuristic on the factor interaction graph.
-        order = []
-        remaining = set(hidden)
-        scopes = [set(f.names) for f in factors if not f.is_scalar()]
-        while remaining:
-            def degree(name: str) -> int:
-                neighbours = set()
-                for scope in scopes:
-                    if name in scope:
-                        neighbours |= scope
-                neighbours.discard(name)
-                return len(neighbours)
-
-            best = min(sorted(remaining), key=degree)
-            order.append(best)
-            remaining.discard(best)
-            merged = set()
-            kept = []
-            for scope in scopes:
-                if best in scope:
-                    merged |= scope
-                else:
-                    kept.append(scope)
-            merged.discard(best)
-            if merged:
-                kept.append(merged)
-            scopes = kept
-        return order
-
-    @staticmethod
-    def _eliminate(factors: List[Factor], name: str) -> List[Factor]:
-        touching = [f for f in factors if name in f.names]
-        rest = [f for f in factors if name not in f.names]
-        if not touching:
-            return rest
-        product = touching[0]
-        for factor in touching[1:]:
-            product = product.multiply(factor)
-        if product.names == (name,):
-            # Marginalising the only variable yields a scalar.
-            rest.append(Factor._scalar(product.total()))
-            return rest
-        rest.append(product.marginalise(name))
-        return rest
 
 
 def joint_probability(

@@ -9,8 +9,8 @@ sample matrix is forward-filled column-by-column in topological order and
 weights accumulate as arrays, with no Python per-sample loop.  The
 vectorized draws consume the seeded stream in exactly the order the old
 loop did, so results are draw-for-draw reproducible across the swap.  The
-retired loop survives as :func:`_likelihood_weighting_loop` — the oracle
-the compiled sampler is tested and benchmarked against.
+retired loop lives in :mod:`repro.bbn.oracles` as the oracle the compiled
+sampler is tested and benchmarked against.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from typing import Dict, Mapping, Optional, Union
 
 import numpy as np
 
-from ..errors import DomainError
-from ..numerics import ensure_rng
 from .compiled import compile_network
 from .network import BayesianNetwork
 
@@ -47,49 +45,3 @@ def likelihood_weighting(
     return compile_network(network).likelihood_weighting(
         target, evidence, n_samples=n_samples, rng=rng
     )
-
-
-def _likelihood_weighting_loop(
-    network: BayesianNetwork,
-    target: str,
-    evidence: Optional[Mapping[str, str]] = None,
-    n_samples: int = 10_000,
-    rng: Union[None, int, np.random.Generator] = None,
-) -> Dict[str, float]:
-    """The retired per-sample Python loop (regression/benchmark oracle)."""
-    if n_samples < 1:
-        raise DomainError("n_samples must be positive")
-    evidence = dict(evidence or {})
-    network.validate_evidence(evidence)
-    rng = ensure_rng(rng)
-
-    target_var = network.variable(target)
-    order = network.topological_order()
-    totals = {state: 0.0 for state in target_var.states}
-    total_weight = 0.0
-
-    # Pre-fetch CPTs and state tuples to keep the sampling loop tight.
-    cpts = {name: network.cpt(name) for name in order}
-
-    for _ in range(n_samples):
-        sample: Dict[str, str] = {}
-        weight = 1.0
-        for name in order:
-            cpt = cpts[name]
-            parent_states = tuple(sample[p.name] for p in cpt.parents)
-            if name in evidence:
-                state = evidence[name]
-                weight *= cpt.probability(state, parent_states)
-            else:
-                states = cpt.child.states
-                probs = [cpt.probability(s, parent_states) for s in states]
-                state = states[rng.choice(len(states), p=probs)]
-            sample[name] = state
-        totals[sample[target]] += weight
-        total_weight += weight
-
-    if total_weight <= 0:
-        raise DomainError(
-            "all samples had zero weight; evidence may be impossible"
-        )
-    return {state: value / total_weight for state, value in totals.items()}

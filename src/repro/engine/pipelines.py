@@ -475,8 +475,9 @@ class BbnQueryPipeline(TwoLegPosteriorPipeline):
         return {"p_claim": posterior["true"]}
 
 
-#: Scenario-chunk cap for the batched sampler: keeps the
-#: (chunk, n_samples, n_vars) state tensor around ten million elements.
+#: Scenario-chunk cap for the batched sampler: chunk × n_samples stays at
+#: most two million, which bounds the per-chunk (chunk, n_samples,
+#: n_free) uniform block and each (chunk, n_samples) code plane.
 _LW_CHUNK_ELEMENTS = 2_000_000
 
 

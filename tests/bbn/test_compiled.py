@@ -16,6 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arguments import (
+    ArgumentLeg,
+    build_two_leg_network,
+    two_leg_cpt_planes,
+)
 from repro.bbn import (
     BayesianNetwork,
     CPT,
@@ -28,8 +33,10 @@ from repro.bbn import (
     enumerate_query,
     likelihood_weighting,
 )
-from repro.bbn.inference import _LoopVariableElimination
-from repro.bbn.sampling import _likelihood_weighting_loop
+from repro.bbn.oracles import (
+    _LoopVariableElimination,
+    _likelihood_weighting_loop,
+)
 from repro.errors import DomainError, StructureError
 
 
@@ -339,7 +346,7 @@ class TestBatchedCptPlanes:
             assert abs(batch[s] - scalar) <= 1e-12
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_likelihood_weighting_batch_bit_for_bit(self, seed):
         rng = np.random.default_rng(seed)
         net = random_network(rng, int(rng.integers(3, 6)))
@@ -423,3 +430,129 @@ class TestBatchedCptPlanes:
             compiled.likelihood_weighting_batch(
                 "X0", None, n_samples=16, rngs=[1, 2], cpt_planes=planes
             )
+
+
+def _assert_lw_batch_matches_scalar(net, target, evidence, planes,
+                                    n_samples=300):
+    """Row ``s`` of ``likelihood_weighting_batch`` equals the scalar
+    sampler on scenario ``s``'s network under the same seed, bit for bit.
+    Variables without a plane keep ``net``'s CPT values."""
+    n_scenarios = len(next(iter(planes.values())))
+    seeds = [31 + s for s in range(n_scenarios)]
+    batch = compile_network(net).likelihood_weighting_batch(
+        target, evidence, n_samples=n_samples, rngs=seeds, cpt_planes=planes,
+    )
+    states = net.variable(target).states
+    for s, seed in enumerate(seeds):
+        values = {name: net.cpt(name).values for name in net.variable_names}
+        values.update({name: plane[s] for name, plane in planes.items()})
+        scalar = compile_network(
+            _clone_with_values(net, values)
+        ).likelihood_weighting(target, evidence, n_samples=n_samples, rng=seed)
+        assert batch[s].tolist() == [scalar[state] for state in states]
+    return batch
+
+
+def _two_leg_family():
+    """The two-leg network and three scenarios' CPT planes for it."""
+    leg = ArgumentLeg("leg", 0.9, 0.95, 0.9, 0.05)
+    net = build_two_leg_network(0.6, leg, leg, 0.3)
+    planes = two_leg_cpt_planes(
+        [0.3, 0.6, 0.9], [0.2, 0.5, 0.8],
+        0.9, 0.95, 0.9, 0.05, 0.85, 0.9, 0.8, 0.1,
+    )
+    return net, planes
+
+
+BOTH_LEGS = {"evidence_leg1": "true", "evidence_leg2": "true"}
+
+
+class TestLikelihoodWeightingBatchEdges:
+    """Shapes of evidence and CPTs the random networks rarely draw, each
+    checked bit for bit against per-scenario scalar sampler calls."""
+
+    @pytest.mark.parametrize("clamped", [
+        # The parent of both sampled assumptions_leg* variables; "false"
+        # leaves them only the CPT rows' 0 entries to avoid.
+        {"shared_underpinning": "true"},
+        {"shared_underpinning": "false"},
+        # The parent of another evidence variable (evidence_leg1).
+        {"assumptions_leg1": "true"},
+    ])
+    def test_evidence_on_a_parent(self, clamped):
+        net, planes = _two_leg_family()
+        _assert_lw_batch_matches_scalar(
+            net, "claim", {**BOTH_LEGS, **clamped}, planes
+        )
+
+    def test_clamped_target(self):
+        net, planes = _two_leg_family()
+        batch = _assert_lw_batch_matches_scalar(
+            net, "claim", {"claim": "false", "evidence_leg1": "true"}, planes
+        )
+        assert (batch[:, 0] == 0.0).all()
+
+    def test_every_variable_clamped_draws_no_uniforms(self):
+        net, planes = _two_leg_family()
+        evidence = {name: "true" for name in net.variable_names}
+        _assert_lw_batch_matches_scalar(net, "claim", evidence, planes)
+        generators = [np.random.default_rng(5) for _ in range(3)]
+        compile_network(net).likelihood_weighting_batch(
+            "claim", evidence, n_samples=50, rngs=generators,
+            cpt_planes=planes,
+        )
+        untouched = np.random.default_rng(5).bit_generator.state
+        assert all(g.bit_generator.state == untouched for g in generators)
+
+    @pytest.mark.parametrize("target", ["claim", "assumptions_leg1"])
+    def test_variables_with_parents_and_no_plane(self, target):
+        net, planes = _two_leg_family()
+        partial = {
+            name: plane for name, plane in planes.items()
+            if not name.startswith("assumptions_leg")
+        }
+        _assert_lw_batch_matches_scalar(net, target, BOTH_LEGS, partial)
+
+    @pytest.mark.parametrize("target", ["x", "y"])
+    def test_multistate_rows_with_zero_entries(self, target):
+        x = Variable("x", ("a", "b", "c"))
+        y = Variable("y", ("p", "q", "r", "s"))
+        e = Variable.boolean("e")
+        net = BayesianNetwork()
+        net.add(CPT.root(x, [0.5, 0.0, 0.5]))
+        net.add(CPT(y, [x], {
+            ("a",): [0.0, 0.3, 0.7, 0.0],
+            ("b",): [0.25, 0.25, 0.25, 0.25],
+            ("c",): [0.4, 0.0, 0.0, 0.6],
+        }))
+        net.add(CPT(e, [y], {
+            ("p",): [0.9, 0.1], ("q",): [0.2, 0.8],
+            ("r",): [0.5, 0.5], ("s",): [0.7, 0.3],
+        }))
+        planes = {
+            "x": np.array([[0.5, 0.0, 0.5], [0.2, 0.3, 0.5],
+                           [0.0, 0.0, 1.0]]),
+            "y": np.array([
+                [[0.0, 0.3, 0.7, 0.0], [0.25] * 4, [0.4, 0.0, 0.0, 0.6]],
+                [[0.0, 0.0, 0.0, 1.0], [0.1, 0.0, 0.9, 0.0], [0.25] * 4],
+                [[1.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0],
+                 [0.0, 0.0, 0.2, 0.8]],
+            ]),
+        }
+        _assert_lw_batch_matches_scalar(net, target, {"e": "true"}, planes)
+
+    def test_zero_likelihood_scenario_raises(self):
+        net, planes = _two_leg_family()
+        # Scenario 1 can never show evidence_leg1 = "true".
+        planes["evidence_leg1"][1, ..., 0] = 0.0
+        planes["evidence_leg1"][1, ..., 1] = 1.0
+        with pytest.raises(DomainError, match="zero weight"):
+            compile_network(net).likelihood_weighting_batch(
+                "claim", BOTH_LEGS, n_samples=100, rngs=[1, 2, 3],
+                cpt_planes=planes,
+            )
+        values = {name: plane[1] for name, plane in planes.items()}
+        with pytest.raises(DomainError, match="zero weight"):
+            compile_network(
+                _clone_with_values(net, values)
+            ).likelihood_weighting("claim", BOTH_LEGS, n_samples=100, rng=2)
